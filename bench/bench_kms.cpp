@@ -10,17 +10,15 @@
 // on the living stack.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
-#include <memory>
+#include <vector>
 
 #include "bench/bench_util.hpp"
-#include "src/common/worker_pool.hpp"
 #include "src/kms/client_fleet.hpp"
 #include "src/kms/kms.hpp"
 #include "src/sim/scenario.hpp"
-#include "src/sim/sharded_scheduler.hpp"
 
 namespace {
 
@@ -28,7 +26,6 @@ using namespace qkd;
 using namespace qkd::kms;
 using namespace qkd::sim;
 using network::MeshSimulation;
-using network::NodeId;
 using network::NodeKind;
 using network::Topology;
 
@@ -106,86 +103,6 @@ RunResult run_fleet(const std::vector<ClassLoad>& loads, double sim_seconds) {
   return result;
 }
 
-/// A relay hub with `pairs` disjoint endpoint pairs fanned around it —
-/// the sharded sweep's topology. Disjoint pairs spread across shards, so
-/// the grant path parallelizes with no cross-shard traffic at all.
-Topology hot_fan(std::size_t pairs) {
-  Topology topo;
-  topo.add_node("hub", NodeKind::kTrustedRelay);
-  qkd::optics::LinkParams optics;
-  optics.fiber_km = 1.0;
-  optics.pulse_rate_hz = 5e9;
-  for (std::size_t p = 0; p < 2 * pairs; ++p) {
-    const NodeId node =
-        topo.add_node("e" + std::to_string(p), NodeKind::kEndpoint);
-    topo.add_link(0, node, optics);
-  }
-  return topo;
-}
-
-struct SweepResult {
-  std::uint64_t grants = 0;
-  double wall_s = 0.0;
-  double sim_s = 0.0;
-  /// Per-shard, per-class granted counts, for the DRR fairness columns.
-  std::vector<std::array<std::uint64_t, kQosClassCount>> per_shard;
-};
-
-/// One epoch-mode run: `pairs` disjoint pairs, three QoS clients per pair
-/// each requesting at 100 Hz, shards executing on min(shards, cores)
-/// worker lanes. The per-client grant sequences are identical for every
-/// shard count (that is the tier-1 contract); only the wall clock moves.
-SweepResult run_sharded_fleet(std::size_t shards, std::size_t pairs,
-                              double sim_seconds) {
-  MeshSimulation mesh(hot_fan(pairs), 19);
-  mesh.step(30.0);
-
-  SimClock clock;
-  EventScheduler scheduler(clock);
-  auto pool = std::make_shared<qkd::common::WorkerPool>(
-      std::min(shards, qkd::common::WorkerPool::default_lanes()));
-  ShardedScheduler sharded(scheduler, shards, pool);
-  KeyManagementService kms(mesh, sharded);
-
-  // One counter slot per client: each client's grants arrive serially on
-  // its own shard's lane, so distinct slots need no synchronization.
-  std::vector<std::uint64_t> granted(3 * pairs, 0);
-  const std::size_t bits[kQosClassCount] = {64, 96, 128};
-  for (std::size_t p = 0; p < pairs; ++p) {
-    const auto src = static_cast<NodeId>(1 + 2 * p);
-    const auto dst = static_cast<NodeId>(2 + 2 * p);
-    for (unsigned qos = 0; qos < kQosClassCount; ++qos) {
-      const ClientId id = kms.register_client(
-          {"c" + std::to_string(p) + "-" + std::to_string(qos), src, dst,
-           static_cast<QosClass>(qos)});
-      const std::size_t slot = 3 * p + qos;
-      const std::size_t request_bits = bits[qos];
-      kms.stream_for_pair(src, dst).every(
-          (slot + 1) * (kMillisecond / 4), 10 * kMillisecond,
-          [&kms, &granted, id, slot, request_bits](SimTime) {
-            kms.get_key(id, request_bits,
-                        [&granted, slot](const Grant& grant) {
-                          if (grant.status == GrantStatus::kGranted)
-                            ++granted[slot];
-                        });
-          });
-    }
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  sharded.run_until(seconds_to_sim(sim_seconds));
-  SweepResult result;
-  result.wall_s = seconds_since(start);
-  result.sim_s = clock.seconds();
-  for (std::uint64_t count : granted) result.grants += count;
-  result.per_shard.resize(shards);
-  for (std::size_t s = 0; s < shards; ++s)
-    for (std::size_t qos = 0; qos < kQosClassCount; ++qos)
-      result.per_shard[s][qos] =
-          kms.shard_class_stats(s, static_cast<QosClass>(qos)).granted;
-  return result;
-}
-
 const std::vector<ClassLoad>& headline_loads() {
   // 1000 clients, 10 req/s each, ~101 s: >= 1M requests in one run.
   static const std::vector<ClassLoad> loads = {
@@ -236,42 +153,6 @@ void print_tables() {
                   static_cast<unsigned long long>(run.service.shed_events));
   qkd::bench::row("  wall: %.2f s, sim-s/wall-s: %.0f", run.wall_s,
                   run.sim_s / run.wall_s);
-
-  // ---- The sharded sweep: grants/s against shard count ---------------------
-  qkd::bench::row("");
-  qkd::bench::row("sharded grant path: 32 disjoint pairs, 96 clients, "
-                  "%zu worker lanes available",
-                  qkd::common::WorkerPool::default_lanes());
-  qkd::bench::row("%7s %10s %10s %9s %8s  %s", "shards", "grants",
-                  "grants/s", "wall s", "speedup", "per-shard DRR min/max");
-  double base_wall = 0.0;
-  for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-    const SweepResult sweep = run_sharded_fleet(shards, 32, 5.0);
-    if (shards == 1) base_wall = sweep.wall_s;
-    // DRR fairness across OCCUPIED shards: min and max granted per class.
-    std::array<std::uint64_t, kQosClassCount> lo{}, hi{};
-    lo.fill(~std::uint64_t{0});
-    for (const auto& per_class : sweep.per_shard) {
-      std::uint64_t total = 0;
-      for (std::uint64_t g : per_class) total += g;
-      if (total == 0) continue;  // the hash left this shard empty
-      for (std::size_t qos = 0; qos < kQosClassCount; ++qos) {
-        lo[qos] = std::min(lo[qos], per_class[qos]);
-        hi[qos] = std::max(hi[qos], per_class[qos]);
-      }
-    }
-    qkd::bench::row(
-        "%7zu %10llu %10.0f %9.2f %7.2fx  rt %llu/%llu ia %llu/%llu "
-        "bulk %llu/%llu",
-        shards, static_cast<unsigned long long>(sweep.grants),
-        static_cast<double>(sweep.grants) / sweep.wall_s, sweep.wall_s,
-        base_wall / sweep.wall_s, static_cast<unsigned long long>(lo[0]),
-        static_cast<unsigned long long>(hi[0]),
-        static_cast<unsigned long long>(lo[1]),
-        static_cast<unsigned long long>(hi[1]),
-        static_cast<unsigned long long>(lo[2]),
-        static_cast<unsigned long long>(hi[2]));
-  }
 }
 
 void bm_kms_fleet_run(benchmark::State& state) {
@@ -292,27 +173,6 @@ void bm_kms_fleet_run(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(requests));
 }
 BENCHMARK(bm_kms_fleet_run)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
-
-void bm_kms_sharded_sweep(benchmark::State& state) {
-  // The scaling sweep behind the E19 table: one epoch-mode fleet run at
-  // `range(0)` shards. Items processed = keys granted, so items/s is
-  // grants per wall second — compare across Args for the scaling curve
-  // (tools/compare_bench.py --series bm_kms_sharded_sweep).
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  std::uint64_t grants = 0;
-  for (auto _ : state) {
-    const SweepResult sweep = run_sharded_fleet(shards, 32, 5.0);
-    grants += sweep.grants;
-    benchmark::DoNotOptimize(sweep.grants);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(grants));
-}
-BENCHMARK(bm_kms_sharded_sweep)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 void bm_kms_admission_rejection(benchmark::State& state) {
   // The backpressure fast path: get_key on a full queue must be cheap —

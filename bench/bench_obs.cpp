@@ -3,15 +3,15 @@
 //
 // The instrumentation lives permanently inside the grant and pipeline hot
 // paths, which is only tenable if its quiescent cost is noise. The E21
-// headline table runs the same epoch-mode KMS fleet day three ways — no
-// tracer attached, tracer attached but disabled, tracer enabled and
-// recording — and reports the wall-clock overhead of each against the
-// uninstrumented run (the disabled column is the one E21 pins: < 2%).
+// headline table runs the same KMS fleet day three ways — no tracer
+// attached, tracer attached but disabled, tracer enabled and recording —
+// and reports the wall-clock overhead of each against the uninstrumented
+// run (the disabled column is the one E21 pins: < 2%).
 // E22 layers the AlertEngine over the same fleet: metrics bound but no
 // engine vs the built-in rule pack evaluating at the one-second
 // attach_alerts default, and pins the enabled-engine overhead < 2% as
 // well — alerting must be cheap enough to leave on. The microbenchmarks price the primitives:
-// sharded counter/histogram writes, the disabled-span branch, a recorded
+// per-cell counter/histogram writes, the disabled-span branch, a recorded
 // span, the Chrome JSON export per span, and one engine evaluation swept
 // by rule count (the --series row).
 #include <benchmark/benchmark.h>
@@ -19,19 +19,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
-#include "src/common/worker_pool.hpp"
 #include "src/kms/kms.hpp"
 #include "src/obs/export.hpp"
 #include "src/obs/health/alert.hpp"
 #include "src/obs/health/rules.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-#include "src/sim/sharded_scheduler.hpp"
 
 namespace {
 
@@ -75,9 +72,9 @@ struct TracedRun {
   double export_s = 0.0;
 };
 
-/// One epoch-mode fleet run (the E19 workload at reduced scale) with the
-/// observability layer in the given mode. Identical scheduling in all
-/// three modes — only the instrumentation differs.
+/// One fleet run (the E19 workload at reduced scale, on one EventScheduler)
+/// with the observability layer in the given mode. Identical scheduling in
+/// all three modes — only the instrumentation differs.
 TracedRun run_traced_fleet(TraceMode mode, std::size_t pairs,
                            double sim_seconds) {
   MeshSimulation mesh(hot_fan(pairs), 19);
@@ -85,11 +82,9 @@ TracedRun run_traced_fleet(TraceMode mode, std::size_t pairs,
 
   SimClock clock;
   EventScheduler scheduler(clock);
-  auto pool = std::make_shared<qkd::common::WorkerPool>(1);
-  ShardedScheduler sharded(scheduler, 1, pool);
-  KeyManagementService kms(mesh, sharded);
+  KeyManagementService kms(mesh, scheduler);
 
-  obs::Tracer tracer(kms.shard_count());
+  obs::Tracer tracer;
   if (mode != TraceMode::kAbsent) {
     tracer.set_sim_time_source([&clock] { return clock.now(); });
     tracer.set_enabled(mode == TraceMode::kEnabled);
@@ -108,7 +103,7 @@ TracedRun run_traced_fleet(TraceMode mode, std::size_t pairs,
            static_cast<QosClass>(qos)});
       const std::size_t slot = 3 * p + qos;
       const std::size_t request_bits = bits[qos];
-      kms.stream_for_pair(src, dst).every(
+      scheduler.every(
           (slot + 1) * (kMillisecond / 4), 10 * kMillisecond,
           [&kms, &granted, id, slot, request_bits](SimTime) {
             kms.get_key(id, request_bits,
@@ -121,7 +116,7 @@ TracedRun run_traced_fleet(TraceMode mode, std::size_t pairs,
   }
 
   const auto start = std::chrono::steady_clock::now();
-  sharded.run_until(seconds_to_sim(sim_seconds));
+  scheduler.run_until(seconds_to_sim(sim_seconds));
   TracedRun result;
   result.wall_s = seconds_since(start);
   for (std::uint64_t count : granted) result.grants += count;
@@ -134,7 +129,7 @@ TracedRun run_traced_fleet(TraceMode mode, std::size_t pairs,
   return result;
 }
 
-/// One epoch-mode fleet run (same scale as E21) with metrics bound to a
+/// One fleet run (same scale as E21) with metrics bound to a
 /// registry and, when `engine_on`, the built-in rule pack evaluating once
 /// per sim second on the scheduler (the attach_alerts default) — the
 /// always-on alerting posture E22 prices. Both modes pay for the bound registry; the delta is the
@@ -153,11 +148,9 @@ AlertedRun run_alerted_fleet(bool engine_on, std::size_t pairs,
 
   SimClock clock;
   EventScheduler scheduler(clock);
-  auto pool = std::make_shared<qkd::common::WorkerPool>(1);
-  ShardedScheduler sharded(scheduler, 1, pool);
-  KeyManagementService kms(mesh, sharded);
+  KeyManagementService kms(mesh, scheduler);
 
-  obs::MetricsRegistry registry(kms.shard_count());
+  obs::MetricsRegistry registry;
   mesh.bind_metrics(registry, "mesh");
   kms.bind_metrics(registry, "kms");
   obs::health::AlertEngine alerts(registry);
@@ -186,7 +179,7 @@ AlertedRun run_alerted_fleet(bool engine_on, std::size_t pairs,
            static_cast<QosClass>(qos)});
       const std::size_t slot = 3 * p + qos;
       const std::size_t request_bits = bits[qos];
-      kms.stream_for_pair(src, dst).every(
+      scheduler.every(
           (slot + 1) * (kMillisecond / 4), 10 * kMillisecond,
           [&kms, &granted, id, slot, request_bits](SimTime) {
             kms.get_key(id, request_bits,
@@ -199,7 +192,7 @@ AlertedRun run_alerted_fleet(bool engine_on, std::size_t pairs,
   }
 
   const auto start = std::chrono::steady_clock::now();
-  sharded.run_until(seconds_to_sim(sim_seconds));
+  scheduler.run_until(seconds_to_sim(sim_seconds));
   AlertedRun result;
   result.wall_s = seconds_since(start);
   for (std::uint64_t count : granted) result.grants += count;
@@ -231,8 +224,8 @@ void print_tables() {
     }
   }
 
-  qkd::bench::row("epoch-mode fleet: %zu pairs, %zu clients, %.0f simulated "
-                  "seconds, %llu grants per run, best of %d",
+  qkd::bench::row("fleet: %zu pairs, %zu clients, %.0f simulated seconds, "
+                  "%llu grants per run, best of %d",
                   kPairs, 3 * kPairs, kSimSeconds,
                   static_cast<unsigned long long>(grants), kReps);
   qkd::bench::row("");

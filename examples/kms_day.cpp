@@ -84,7 +84,7 @@ int main() {
   // The health layer: every signal the rules watch flows through one
   // registry, and the engine evaluates the rule pack every ten sim
   // seconds on the same timeline the day runs on.
-  obs::MetricsRegistry registry(kms.shard_count());
+  obs::MetricsRegistry registry;
   mesh.bind_metrics(registry, "mesh");
   kms.bind_metrics(registry, "kms");
   obs::health::AlertEngine alerts(registry);
@@ -105,7 +105,7 @@ int main() {
   // trace covers the interesting minute — thirty seconds of healthy
   // service, then Eve's arrival and the starvation that follows.
   const char* trace_out = std::getenv("QKD_TRACE_OUT");
-  obs::Tracer tracer(kms.shard_count());
+  obs::Tracer tracer;
   if (trace_out != nullptr) {
     tracer.set_sim_time_source(
         [&runner] { return runner.scheduler().now(); });

@@ -5,9 +5,9 @@
 //   Dec  5 12:53:32 bob-gw racoon: INFO: isakmp.c:1046:...: message
 // Logging is process-global, cheap when disabled, and capturable in tests.
 //
-// Thread safety: the stack logs from shard lanes and worker threads, so the
-// level gate is an atomic (the QKD_LOG fast path stays one relaxed load) and
-// the sink/clock are swapped and invoked under a mutex — a set_sink racing a
+// Thread safety: the stack logs from worker threads, so the level gate is
+// an atomic (the QKD_LOG fast path stays one relaxed load) and the
+// sink/clock are swapped and invoked under a mutex — a set_sink racing a
 // concurrent log() can no longer tear the std::function. Messages are
 // stamped with simulation time when a SimClock is registered, so transcript
 // lines line up with the event timeline instead of wall time.

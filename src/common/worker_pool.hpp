@@ -9,11 +9,10 @@
 // only after every index has finished (the join is the synchronization
 // barrier callers use to publish results).
 //
-// One pool is meant to be SHARED by every parallel layer of the stack
-// (LinkKeyService distillation, ShardedScheduler shard streams, the KMS
-// barrier fan-out) instead of each layer spawning its own threads per
-// batch. parallel_for is not reentrant from inside a task; a nested call
-// from a worker lane runs inline on that lane instead of deadlocking.
+// LinkKeyService owns one and fans its per-link distillation batches out
+// on it, instead of spawning threads per batch. parallel_for is not
+// reentrant from inside a task; a nested call from a worker lane runs
+// inline on that lane instead of deadlocking.
 #pragma once
 
 #include <atomic>

@@ -7,41 +7,39 @@ namespace qkd::kms {
 
 KmsClientFleet::KmsClientFleet(KeyManagementService& kms,
                                sim::EventScheduler& scheduler)
-    : kms_(kms), scheduler_(scheduler), shard_stats_(kms.shard_count()) {}
+    : kms_(kms), scheduler_(scheduler) {}
 
 KmsClientFleet::~KmsClientFleet() {
   // Stop the tickers, then deregister every live member so its queued
   // requests drain (as kDeparted) while the fleet — which their callbacks
   // capture — is still alive.
   for (Member& member : members_) {
-    if (member.ticker.valid()) member.stream->cancel(member.ticker);
+    if (member.ticker.valid()) scheduler_.cancel(member.ticker);
     if (member.active) kms_.deregister_client(member.id);
   }
 }
 
 void KmsClientFleet::issue_request(Member& member, std::size_t bits) {
-  Stats& stats = shard_stats_[member.shard];
-  ++stats.requests_issued;
+  ++stats_.requests_issued;
   const std::size_t index = static_cast<std::size_t>(&member - members_.data());
   kms_.get_key(member.id, bits, [this, index](const Grant& grant) {
-    Stats& stats = shard_stats_[members_[index].shard];
     switch (grant.status) {
       case GrantStatus::kGranted: {
-        ++stats.granted;
+        ++stats_.granted;
         Member& m = members_[index];
         if (!m.active) return;  // departed while the request was queued
         // The peer application fetches its copy right away: every grant
         // round-trips the ETSI get_key / get_key_with_id agreement.
         const auto peer = kms_.get_key_with_id(m.id, grant.key_id);
         if (peer.has_value() && peer->bits == grant.bits)
-          ++stats.claims_matched;
+          ++stats_.claims_matched;
         else
-          ++stats.claims_mismatched;
+          ++stats_.claims_mismatched;
         return;
       }
-      case GrantStatus::kRejectedQueueFull: ++stats.rejected; return;
-      case GrantStatus::kShed: ++stats.shed; return;
-      case GrantStatus::kDeparted: ++stats.departed; return;
+      case GrantStatus::kRejectedQueueFull: ++stats_.rejected; return;
+      case GrantStatus::kShed: ++stats_.shed; return;
+      case GrantStatus::kDeparted: ++stats_.departed; return;
     }
   });
 }
@@ -68,21 +66,17 @@ void KmsClientFleet::client_arrival(qkd::SimTime now,
     member.src = arrival.src;
     member.dst = arrival.dst;
     member.qos = arrival.qos;
-    member.shard = kms_.shard_of(arrival.src, arrival.dst);
-    member.stream = &kms_.stream_for_pair(arrival.src, arrival.dst);
     member.active = true;
     members_.push_back(std::move(member));
     ++active_;
 
     // Phase-stagger the cohort across one period so a 1000-client arrival
-    // does not land 1000 same-instant requests every cycle. The ticker
-    // lives on the member's shard stream: in sharded mode the request is
-    // issued on the same lane that serves it.
+    // does not land 1000 same-instant requests every cycle.
     const std::size_t index = members_.size() - 1;
     const qkd::SimTime offset =
         static_cast<qkd::SimTime>((i + 1) * period / (arrival.count + 1));
     const std::size_t bits = arrival.bits;
-    members_[index].ticker = members_[index].stream->every(
+    members_[index].ticker = scheduler_.every(
         offset, period,
         [this, index, bits](qkd::SimTime) {
           issue_request(members_[index], bits);
@@ -99,7 +93,7 @@ void KmsClientFleet::client_departure(qkd::SimTime now,
     if (!it->active || it->src != departure.src || it->dst != departure.dst ||
         it->qos != departure.qos)
       continue;
-    it->stream->cancel(it->ticker);
+    scheduler_.cancel(it->ticker);
     it->ticker = sim::EventScheduler::Handle();
     it->active = false;
     kms_.deregister_client(it->id);
@@ -107,21 +101,6 @@ void KmsClientFleet::client_departure(qkd::SimTime now,
     --remaining;
   }
   (void)now;
-}
-
-const KmsClientFleet::Stats& KmsClientFleet::stats() const {
-  Stats total;
-  for (const Stats& s : shard_stats_) {
-    total.requests_issued += s.requests_issued;
-    total.granted += s.granted;
-    total.rejected += s.rejected;
-    total.shed += s.shed;
-    total.departed += s.departed;
-    total.claims_matched += s.claims_matched;
-    total.claims_mismatched += s.claims_mismatched;
-  }
-  agg_stats_ = total;
-  return agg_stats_;
 }
 
 }  // namespace qkd::kms

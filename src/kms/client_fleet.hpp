@@ -8,12 +8,6 @@
 // side through get_key_with_id, so every grant continuously exercises —
 // and verifies — the cross-end key-ID agreement.
 //
-// Sharding: each member's ticker is armed on the stream that serves its
-// endpoint pair (KeyManagementService::stream_for_pair), so request issue,
-// grant delivery and the peer claim all run on the owning shard's lane.
-// The fleet's own counters are kept per shard (a member touches only its
-// shard's slot) and aggregated on read — no cross-lane mutable state.
-//
 // This is how a scripted day ramps thousands of clients up and down with a
 // handful of scenario lines (see example_kms_day and bench_kms/E19).
 #pragma once
@@ -40,8 +34,8 @@ class KmsClientFleet final : public sim::ClientWorkloadDriver {
     std::uint64_t claims_mismatched = 0;
   };
 
-  /// Both must outlive the fleet. `scheduler` is the stream arrivals and
-  /// departures are scripted on (the global stream in sharded mode).
+  /// Both must outlive the fleet. `scheduler` is the stream arrivals,
+  /// departures and the members' request tickers run on — the KMS's own.
   KmsClientFleet(KeyManagementService& kms, sim::EventScheduler& scheduler);
   ~KmsClientFleet() override;
 
@@ -52,8 +46,7 @@ class KmsClientFleet final : public sim::ClientWorkloadDriver {
                         const sim::ClientDeparture& departure) override;
 
   std::size_t active_clients() const { return active_; }
-  /// Aggregated across shards; call with shard lanes parked.
-  const Stats& stats() const;
+  const Stats& stats() const { return stats_; }
 
  private:
   struct Member {
@@ -61,9 +54,6 @@ class KmsClientFleet final : public sim::ClientWorkloadDriver {
     network::NodeId src = 0;
     network::NodeId dst = 0;
     unsigned qos = 0;
-    /// The stream the ticker lives on (the member's shard's stream).
-    sim::EventScheduler* stream = nullptr;
-    std::size_t shard = 0;
     sim::EventScheduler::Handle ticker;
     bool active = false;
   };
@@ -75,10 +65,7 @@ class KmsClientFleet final : public sim::ClientWorkloadDriver {
   std::vector<Member> members_;
   std::size_t active_ = 0;
   std::uint64_t arrivals_ = 0;  // names successive fleet members
-  /// One slot per KMS shard: a member's callbacks write only its shard's
-  /// slot, so shard lanes never contend.
-  std::vector<Stats> shard_stats_;
-  mutable Stats agg_stats_;
+  Stats stats_;
 };
 
 }  // namespace qkd::kms

@@ -39,21 +39,10 @@
 //    the retry backoff); sustained exhaustion (consecutive starved rounds)
 //    sheds load, lowest-priority class first (kShed), so realtime clients
 //    survive an eavesdropping-induced drought.
-//  * Sharding. The service itself is a thin router over N KmsShards:
-//    endpoint pairs hash (by unordered endpoint ids, so a pair and its
-//    reverse co-locate) to shards, and each shard owns the COMPLETE grant
-//    path of its pairs — mirrored pools, bounded queues, DRR state, claim
-//    TTL ledger, stats, latency histograms. Shards share no mutable state;
-//    the router crosses the boundary only at registration, stats
-//    aggregation and the epoch-mode frame barrier. Constructed on a plain
-//    EventScheduler the shards all service on that one stream (the
-//    deterministic single-thread path tier-1 pins down); constructed on a
-//    sim::ShardedScheduler each shard services on its own stream, in
-//    parallel on the scheduler's worker pool, and relay frames are planned
-//    sequentially at the window barrier in global (src, dst) order then
-//    finalized shard-locally from per-pair deterministic rngs — so the
-//    per-client grant sequence for a fixed seed is identical for ANY shard
-//    and lane count.
+//  * One thread. The service owns every endpoint pair's state directly and
+//    runs only on its scheduler's thread, like the mesh: get_key, grant
+//    callbacks, stats reads and metrics collection all happen there, so
+//    nothing on the grant path is atomic or locked.
 //
 // The KMS is the topmost layer (src/kms links qkd_sim): it schedules onto
 // the same EventScheduler the scenario engine scripts, implements
@@ -61,18 +50,16 @@
 // depth / grants / rejections / p99 grant latency, and plugs into scripted
 // days through kms::KmsClientFleet (ClientArrival/ClientDeparture actions).
 // E19 (bench_kms) drives >= 1M requests from >= 1k clients through one
-// scheduled run; the sharded sweep scales grants/s across cores.
+// scheduled run.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/keystore/key_pool.hpp"
@@ -82,15 +69,7 @@
 #include "src/sim/event_scheduler.hpp"
 #include "src/sim/timeline.hpp"
 
-namespace qkd::sim {
-class ShardedScheduler;
-}  // namespace qkd::sim
-
 namespace qkd::kms {
-
-class KmsShard;       // internal: src/kms/shard.hpp
-struct PairState;     // internal: one endpoint pair's shard-owned state
-struct FrameJob;      // internal: a parked epoch-mode service round
 
 // ---- QoS vocabulary --------------------------------------------------------
 
@@ -139,11 +118,7 @@ struct Grant {
 };
 
 /// Invoked exactly once per get_key() call, from inside a scheduler event
-/// (or synchronously for admission rejections). In sharded-scheduler mode
-/// the callback runs on the owning shard's lane: it may touch the
-/// requesting client's own KMS surface (get_key / get_key_with_id on the
-/// same pair) and any state partitioned the same way the KMS is, but no
-/// cross-shard or global state.
+/// (or synchronously for admission rejections).
 using GrantCallback = std::function<void(const Grant&)>;
 
 // ---- The service -----------------------------------------------------------
@@ -189,15 +164,8 @@ class KeyManagementService final : public sim::ServiceSampler {
     /// disables replenish wakeups).
     std::size_t link_low_water_bits = 4 * keystore::KeySupply::kQblockBits;
 
-    /// Shard count for the plain-EventScheduler constructors (all shards
-    /// service on that one stream — pure partitioning, no parallelism).
-    /// The ShardedScheduler constructors ignore this and use the
-    /// scheduler's shard count, one stream per shard.
-    std::size_t shards = 1;
-
-    /// Seeds the per-pair frame rngs that generate key material in
-    /// sharded-scheduler mode (each pair's stream derives from
-    /// (seed, src, dst), so grant bits do not depend on shard count).
+    /// Unused: grant key material comes from the mesh's rng. Kept only
+    /// so existing callers that set it still compile.
     std::uint64_t seed = 19;
 
     /// Grant-latency service-level objective: a grant delivered within
@@ -248,30 +216,15 @@ class KeyManagementService final : public sim::ServiceSampler {
     std::array<std::size_t, kQosClassCount> queue_depths{};
   };
 
-  /// Single-stream service: every shard (Config::shards of them) runs its
-  /// service rounds on `scheduler` — the deterministic path. The mesh and
-  /// scheduler must outlive the service. Engine-backed meshes must be
-  /// driven single-threaded (scheduler-dispatched run_link_batch, as
-  /// ScenarioRunner does): the KMS subscribes to the link supplies and its
-  /// callbacks are not thread-safe.
+  /// The service runs its rounds on `scheduler`; the mesh and scheduler
+  /// must outlive it. Engine-backed meshes must be driven on the same
+  /// thread (scheduler-dispatched run_link_batch, as ScenarioRunner does):
+  /// the KMS subscribes to the link supplies and its callbacks are not
+  /// thread-safe.
   KeyManagementService(network::MeshSimulation& mesh,
                        sim::EventScheduler& scheduler, Config config);
   KeyManagementService(network::MeshSimulation& mesh,
                        sim::EventScheduler& scheduler);
-
-  /// Sharded-execution service: one KmsShard per scheduler shard, each
-  /// servicing its pairs on its own stream, in parallel on the scheduler's
-  /// worker pool. Relay frames are planned at the window barrier (the
-  /// service registers a barrier task) in global (src, dst) order against
-  /// the shared mesh, then finalized shard-locally from per-pair
-  /// deterministic rngs. Registration, deregistration and every
-  /// introspection accessor must be called with shard lanes parked (from
-  /// the global stream or between runs); get_key / get_key_with_id may
-  /// additionally be called from the owning shard's lane.
-  KeyManagementService(network::MeshSimulation& mesh,
-                       sim::ShardedScheduler& sharded, Config config);
-  KeyManagementService(network::MeshSimulation& mesh,
-                       sim::ShardedScheduler& sharded);
   ~KeyManagementService() override;
 
   // ---- Registry -----------------------------------------------------------
@@ -299,66 +252,46 @@ class KeyManagementService final : public sim::ServiceSampler {
   /// the peer endpoint's applications (registered on the reversed pair)
   /// and the granted client itself may claim — a co-tenant on the same
   /// pair cannot take another tenant's key. nullopt when the key_id is
-  /// unknown, already claimed, expired, or not claimable by `id`. Both
-  /// orderings of a pair hash to the same shard, so the claim never
-  /// crosses a shard boundary.
+  /// unknown, already claimed, expired, or not claimable by `id`.
   std::optional<keystore::KeyBlock> get_key_with_id(ClientId id,
                                                     std::uint64_t key_id);
 
-  // ---- Sharding surface ---------------------------------------------------
-  std::size_t shard_count() const { return shards_.size(); }
-  /// Which shard owns the (unordered) endpoint pair {a, b}.
-  std::size_t shard_of(network::NodeId a, network::NodeId b) const;
-  /// The event stream the pair's service work runs on: its shard's stream
-  /// in sharded-scheduler mode, the global scheduler otherwise. Client
-  /// drivers arm their per-client tickers here so request issue runs on
-  /// the same lane that serves it.
-  sim::EventScheduler& stream_for_pair(network::NodeId src,
-                                       network::NodeId dst);
+  /// The number of tracer and metrics cells the service records into:
+  /// always 1. Kept only so existing callers that size a Tracer or
+  /// MetricsRegistry with it still compile.
+  std::size_t shard_count() const { return 1; }
 
   // ---- Observability ------------------------------------------------------
   /// Installs (or removes, with nullptr) the tracer the grant path records
-  /// spans into. Shard spans land in the owning shard's cell; the caller
-  /// should size the tracer with at least shard_count() cells. The mesh's
-  /// tracer is NOT installed here — set it on the mesh explicitly if the
-  /// relay legs should be recorded too.
+  /// spans into (cell 0). The mesh's tracer is NOT installed here — set it
+  /// on the mesh explicitly if the relay legs should be recorded too.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() const { return tracer_; }
 
-  /// Registers a collector exposing aggregated service/class counters and
-  /// per-class p99 grant latency under `prefix`. Reads only the shards'
-  /// relaxed-atomic counters, so snapshots are safe from one monitoring
-  /// thread while shard lanes grant.
+  /// Registers a collector exposing service/class counters, per-class p99
+  /// grant latency and per-pair pooled bits under `prefix`.
   void bind_metrics(obs::MetricsRegistry& registry, std::string prefix);
 
-  // ---- Introspection (aggregated across shards) ---------------------------
-  // Counter/latency accessors aggregate the shards' relaxed-atomic stats:
-  // callable from ONE monitoring thread concurrently with shard-lane
-  // grants. queue_depth / inspect_pairs still walk shard pair state and
-  // require lanes parked.
-  const ClassStats& class_stats(QosClass qos) const;
-  const Stats& stats() const;
+  // ---- Introspection -----------------------------------------------------
+  const ClassStats& class_stats(QosClass qos) const {
+    return class_stats_.at(static_cast<std::size_t>(qos));
+  }
+  const Stats& stats() const { return stats_; }
   const Config& config() const { return config_; }
   /// Requests waiting in `qos` queues across all endpoint pairs.
   std::size_t queue_depth(QosClass qos) const;
   double p99_grant_latency_s(QosClass qos) const;
   double mean_grant_latency_s(QosClass qos) const;
-  /// True while some shard is in a shedding episode (cleared by its next
-  /// successful round).
-  bool shedding() const;
+  /// True while in a shedding episode (cleared by the next successful
+  /// round).
+  bool shedding() const { return shedding_; }
   /// One snapshot per live endpoint pair (ordered by (src, dst)).
   std::vector<PairInspection> inspect_pairs() const;
 
-  // ---- Per-shard introspection (DRR fairness across shards) ---------------
-  const Stats& shard_stats(std::size_t shard) const;
-  const ClassStats& shard_class_stats(std::size_t shard, QosClass qos) const;
-
   /// Observer invoked for EVERY delivered Grant — granted, rejected, shed
-  /// and departed alike — just before the client's own callback. In
-  /// sharded-scheduler mode it runs on shard lanes concurrently and must
-  /// only touch state partitioned by client/pair (see GrantCallback). The
-  /// fuzz harness checks its invariants (compromise flagging,
-  /// conservation) here without disturbing delivery.
+  /// and departed alike — just before the client's own callback. The fuzz
+  /// harness checks its invariants (compromise flagging, conservation)
+  /// here without disturbing delivery.
   void set_grant_observer(GrantCallback observer) {
     grant_observer_ = std::move(observer);
   }
@@ -367,55 +300,71 @@ class KeyManagementService final : public sim::ServiceSampler {
   std::vector<sim::ClassSample> sample_service(qkd::SimTime now) override;
 
  private:
-  friend class KmsShard;
+  /// O(1)-memory latency histogram (power-of-two nanosecond buckets) for
+  /// the per-class p99 over million-grant runs.
+  class LatencyHistogram {
+   public:
+    void record(qkd::SimTime latency);
+    double quantile_s(double q) const;
+    double mean_s() const;
 
-  /// One endpoint pair's pooled-bits gauge cell: written (relaxed) by the
-  /// owning shard after every deposit/withdraw, read by the metrics
-  /// collector. Lives in a deque so addresses stay stable as pairs
-  /// register; the deque itself is guarded by pool_gauge_mu_ (registration
-  /// and collection only — never the grant path's inner loop).
-  struct PairPoolGauge {
-    network::NodeId src = 0;
-    network::NodeId dst = 0;
-    std::atomic<std::size_t> bits{0};
+   private:
+    static constexpr std::size_t kBuckets = 64;
+    std::array<std::uint64_t, kBuckets> buckets_{};
+    std::uint64_t count_ = 0;
+    qkd::SimTime total_ = 0;
   };
-  std::atomic<std::size_t>& pool_gauge_for(network::NodeId src,
-                                           network::NodeId dst);
+
+  struct Request;    // one queued get_key (defined in kms.cpp)
+  struct PairState;  // one ordered endpoint pair's state (kms.cpp)
+  using Round = std::vector<std::pair<unsigned, Request>>;
 
   struct ClientRecord {
     ClientConfig config;
-    KmsShard* shard = nullptr;
     PairState* pair = nullptr;
     bool live = false;
   };
 
-  void init_shards(std::size_t count);
+  /// Finds or creates the ordered pair's state (registration path; the
+  /// pair vector stays sorted by (src, dst) and addresses stay stable).
+  PairState& pair_for(network::NodeId src, network::NodeId dst);
+  PairState* find_pair(network::NodeId src, network::NodeId dst);
   ClientRecord& live_client(ClientId id, const char* op);
+  /// Arms (or pulls forward) the pair's service round to `when`.
+  void arm_service(PairState& pair, qkd::SimTime when);
+  void service_round(PairState& pair, qkd::SimTime now);
+  /// Deficit round robin: moves this round's winners out of the queues.
+  Round select_round(PairState& pair);
+  void grant_round(PairState& pair, Round& round,
+                   const network::MeshSimulation::TransportResult& frame,
+                   qkd::SimTime now, obs::TraceContext trace);
+  /// Returns winners to the front of their queues (starved frame).
+  void requeue_round(PairState& pair, Round& round);
+  /// Drops the lowest-priority backlogged class of the pair with kShed.
+  void shed_lowest_class(PairState& pair, qkd::SimTime now);
+  void purge_expired_claims(PairState& pair, qkd::SimTime now);
   void on_supply_replenished(qkd::SimTime now);
-  /// Barrier task (sharded-scheduler mode): plans every shard's parked
-  /// service rounds against the mesh in global (src, dst) order, then fans
-  /// finalization back out across shard lanes.
-  void flush_frames(qkd::SimTime now);
+  void finish(Request& request, GrantStatus status, qkd::SimTime now,
+              ClassStats& stats);
+  static bool backlogged(const PairState& pair);
 
   network::MeshSimulation& mesh_;
-  sim::EventScheduler& scheduler_;            // the global stream
-  sim::ShardedScheduler* sharded_ = nullptr;  // sharded-scheduler mode only
+  sim::EventScheduler& scheduler_;
   Config config_;
 
-  std::vector<std::unique_ptr<KmsShard>> shards_;
+  /// Sorted by (src, dst); unique_ptr keeps PairState addresses stable
+  /// across insertions (registration only — never on the grant path).
+  std::vector<std::unique_ptr<PairState>> pairs_;
   std::vector<ClientRecord> clients_;
   std::size_t live_clients_ = 0;
 
-  /// Router-level counters (everything else lives in the shards);
-  /// stats()/class_stats() aggregate into the mutable caches on read.
-  Stats router_stats_;
-  mutable Stats agg_stats_;
-  mutable std::array<ClassStats, kQosClassCount> agg_class_stats_{};
+  std::array<ClassStats, kQosClassCount> class_stats_{};
+  std::array<LatencyHistogram, kQosClassCount> latency_{};
+  Stats stats_;
+  bool shedding_ = false;
   GrantCallback grant_observer_;
   obs::Tracer* tracer_ = nullptr;
   std::vector<std::uint64_t> supply_subscriptions_;  // engine mode only
-  mutable std::mutex pool_gauge_mu_;
-  std::deque<PairPoolGauge> pool_gauges_;
 };
 
 }  // namespace qkd::kms

@@ -31,18 +31,13 @@ LinkKeyService::LinkKeyService(const Topology& topology, Config config) {
     state.enabled = link.usable();
     links_.push_back(std::move(state));
   }
-  if (config.pool) {
-    pool_ = config.pool;  // shared with the rest of the stack; not resized
-  } else {
-    // Clamp ONCE here — more lanes than links never helped, and the old
-    // per-batch std::min recomputation is gone with the per-batch spawning.
-    const std::size_t requested = config.threads != 0
-                                      ? config.threads
-                                      : qkd::common::WorkerPool::default_lanes();
-    const std::size_t lanes = std::max<std::size_t>(
-        1, std::min(requested, std::max<std::size_t>(1, links_.size())));
-    pool_ = std::make_shared<qkd::common::WorkerPool>(lanes);
-  }
+  // Clamp ONCE here: more lanes than links never helps.
+  const std::size_t requested = config.threads != 0
+                                    ? config.threads
+                                    : qkd::common::WorkerPool::default_lanes();
+  const std::size_t lanes = std::max<std::size_t>(
+      1, std::min(requested, std::max<std::size_t>(1, links_.size())));
+  pool_ = std::make_unique<qkd::common::WorkerPool>(lanes);
 }
 
 LinkKeyService::~LinkKeyService() = default;

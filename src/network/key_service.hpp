@@ -13,11 +13,9 @@
 // their pools to the same stream and hold mirror-image reservoirs).
 //
 // Independent links are independent machines, so their batches execute in
-// parallel on a common::WorkerPool — either the service's own (sized once
-// at construction: min(threads, link count) lanes, never recomputed per
-// batch) or a pool SHARED with the rest of the stack via Config::pool
-// (the ShardedScheduler's lanes, so distillation and KMS shard service
-// ride the same threads). Each link's session, sinks and attack state are
+// parallel on the service's own common::WorkerPool (sized once at
+// construction: min(threads, link count) lanes, never recomputed per
+// batch). Each link's session, sinks and attack state are
 // touched by exactly one lane at a time and seeds are derived per link, so
 // every link's key stream is bit-identical regardless of lane count; with
 // threads = 1 the links run inline in ascending id order — the exact
@@ -49,14 +47,9 @@ class LinkKeyService : public qkd::keystore::KeyProducer {
     /// Worker lanes for parallel link distillation. 0 picks
     /// min(hardware_concurrency, 8); the count is clamped ONCE at
     /// construction to min(threads, link count) and 1 forces the exact
-    /// sequential order (links in ascending id). Ignored when `pool` is
-    /// set. Batches for one link always run sequentially on one lane.
+    /// sequential order (links in ascending id). Batches for one link
+    /// always run sequentially on one lane.
     std::size_t threads = 0;
-
-    /// Optional shared worker pool (not owned; must outlive the service).
-    /// The stack's parallel layers are meant to share ONE pool — pass the
-    /// ShardedScheduler's — instead of spawning per-layer threads.
-    std::shared_ptr<qkd::common::WorkerPool> pool;
   };
 
   LinkKeyService(const Topology& topology, Config config);
@@ -122,7 +115,7 @@ class LinkKeyService : public qkd::keystore::KeyProducer {
   void for_each_enabled_link(const Fn& work);
 
   std::vector<LinkState> links_;
-  std::shared_ptr<qkd::common::WorkerPool> pool_;
+  std::unique_ptr<qkd::common::WorkerPool> pool_;
 };
 
 }  // namespace qkd::network

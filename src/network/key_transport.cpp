@@ -127,20 +127,6 @@ MeshSimulation::TransportResult MeshSimulation::transport_key_batch(
           "MeshSimulation: zero-bit request in transport batch");
     payload_bits += bits;
   }
-  // Uncached plan: routes every frame against the global last-route memo
-  // (the legacy reroute accounting) and finalizes on the mesh's own rng —
-  // the draw order (key, then analytic pads hop by hop) is unchanged.
-  return finalize_frame(
-      plan_key_batch(src, dst, payload_bits, nullptr, trace), rng_);
-}
-
-MeshSimulation::FramePlan MeshSimulation::plan_key_batch(NodeId src,
-                                                         NodeId dst,
-                                                         std::size_t payload_bits,
-                                                         RouteCache* cache,
-                                                         obs::TraceContext trace) {
-  if (payload_bits == 0)
-    throw std::invalid_argument("MeshSimulation: zero-bit transport plan");
   // One frame per hop: the concatenated payloads plus the header+tag
   // overhead, all of it OTP-encrypted under the hop's pairwise pad.
   const std::size_t frame_bits = payload_bits + kFrameOverheadBits;
@@ -154,130 +140,90 @@ MeshSimulation::FramePlan MeshSimulation::plan_key_batch(NodeId src,
     plan_span.attr("payload_bits", std::to_string(payload_bits));
   }
 
-  FramePlan plan;
-  plan.payload_bits = payload_bits;
+  TransportResult result;
   ++stats_.transports_attempted;
 
+  // Prefer key-rich links that skirt compromised relays: cost = 1 plus a
+  // shortage penalty plus a trust penalty (either makes the link a last
+  // resort, never absent — a starved or owned path still beats no path).
   const double need = static_cast<double>(frame_bits);
-  const auto affordable = [this, need](const Route& route) {
-    for (LinkId link_id : route.links)
-      if (link_pool_bits(link_id) < need) return false;
-    return true;
+  const auto cost = [this, need](const Link& link) {
+    const double pool = link_pool_bits(link.id);
+    double c = pool >= need ? 1.0 : 1000.0;
+    if (node_compromised(link.a) || node_compromised(link.b)) c += 1000.0;
+    return c;
   };
-
-  std::optional<Route> route;
-  if (cache != nullptr && cache->route.has_value() &&
-      cache->version == topology_version_ && affordable(*cache->route)) {
-    route = cache->route;  // hot path: no Dijkstra, no reroute
-  } else {
-    // Prefer key-rich links that skirt compromised relays: cost = 1 plus a
-    // shortage penalty plus a trust penalty (either makes the link a last
-    // resort, never absent — a starved or owned path still beats no path).
-    const auto cost = [this, need](const Link& link) {
-      const double pool = link_pool_bits(link.id);
-      double c = pool >= need ? 1.0 : 1000.0;
-      if (node_compromised(link.a) || node_compromised(link.b)) c += 1000.0;
-      return c;
-    };
-    route = shortest_route(topology_, src, dst, cost);
-    if (!route.has_value()) {
-      if (cache != nullptr) cache->route.reset();
-      ++stats_.transports_no_route;
-      plan_span.attr("result", "no-route");
-      return plan;
-    }
-    if (cache != nullptr) {
-      // Per-caller reroute accounting: this pair's route changed.
-      if (cache->route.has_value() && cache->route->links != route->links)
-        ++stats_.reroutes;
-      cache->route = route;
-      cache->version = topology_version_;
-    }
+  const auto route = shortest_route(topology_, src, dst, cost);
+  if (!route.has_value()) {
+    ++stats_.transports_no_route;
+    plan_span.attr("result", "no-route");
+    return result;
   }
-  if (cache == nullptr) {
-    if (last_route_.has_value() && last_route_->links != route->links)
-      ++stats_.reroutes;
-    last_route_ = route;
-  }
-  plan.route = *route;
+  if (last_route_.has_value() && last_route_->links != route->links)
+    ++stats_.reroutes;
+  last_route_ = route;
+  result.route = *route;
 
   // Check every hop can afford the frame before consuming anything.
-  if (!affordable(*route)) {
-    ++stats_.transports_starved;
-    plan_span.attr("result", "starved");
-    return plan;
+  for (LinkId link_id : route->links) {
+    if (link_pool_bits(link_id) < need) {
+      ++stats_.transports_starved;
+      plan_span.attr("result", "starved");
+      return result;
+    }
   }
 
-  // Consume the hop pads now, sequentially: engine mode withdraws the
-  // actual distilled bits from each link's KeySupply (both link ends hold
-  // the same stream); analytic mode only debits the rate-model pool — the
-  // simulated pad bits are drawn later, inside finalize_frame.
+  // Hop-by-hop one-time-pad relay. The key leaves the source encrypted,
+  // is decrypted and re-encrypted inside every relay, and arrives intact.
+  result.key = rng_.next_bits(payload_bits);
+  qkd::BitVector in_flight = result.key;
   for (std::size_t hop = 0; hop < route->links.size(); ++hop) {
     const LinkId link_id = route->links[hop];
     obs::ScopedSpan hop_span(tracer_, "mesh.hop", plan_span.context());
+    // Pairwise link pad covering the whole frame: in engine mode the actual
+    // distilled bits withdrawn from the link's KeySupply (both link ends
+    // hold the same stream); in analytic mode a simulated draw against the
+    // rate-model pool.
+    qkd::BitVector pad;
     if (rate_model_ == RateModel::kEngine) {
-      plan.hop_pads.push_back(
-          service_->supply(link_id)
-              .request_bits(frame_bits, "MeshSimulation::transport_key")
-              ->bits);
+      pad = service_->supply(link_id)
+                .request_bits(frame_bits, "MeshSimulation::transport_key")
+                ->bits;
     } else {
+      pad = rng_.next_bits(frame_bits);
       pools_[link_id] -= need;
     }
-    plan.pool_bits_consumed += frame_bits;
-    // The far end of the hop decrypts; if it is a relay, the key will sit
-    // in its memory in the clear.
+    const qkd::BitVector payload_pad = pad.slice(0, payload_bits);
+    qkd::BitVector ciphertext = in_flight;
+    ciphertext ^= payload_pad;  // encrypted on the wire (tag under the rest)
+    result.pool_bits_consumed += frame_bits;
+    // The far end of the hop decrypts; if it is a relay, the key is now in
+    // its memory in the clear.
+    in_flight = ciphertext;
+    in_flight ^= payload_pad;
     const NodeId holder = route->nodes[hop + 1];
     if (topology_.node(holder).kind == NodeKind::kTrustedRelay)
-      plan.exposed_to.push_back(holder);
+      result.exposed_to.push_back(holder);
     if (hop_span.recording()) {
       hop_span.attr("link", std::to_string(link_id));
       hop_span.attr("to_node", std::to_string(holder));
       hop_span.attr("pad_bits", std::to_string(frame_bits));
     }
   }
-
-  for (NodeId relay : plan.exposed_to)
-    if (node_compromised(relay)) plan.compromised = true;
-  if (plan.compromised) ++stats_.transports_compromised;
-
-  plan.success = true;
-  ++stats_.transports_succeeded;
-  if (plan_span.recording()) {
-    plan_span.attr("hops", std::to_string(route->links.size()));
-    plan_span.attr("exposed_relays", std::to_string(plan.exposed_to.size()));
-    if (plan.compromised) plan_span.attr("compromised", "true");
-  }
-  return plan;
-}
-
-MeshSimulation::TransportResult MeshSimulation::finalize_frame(
-    const FramePlan& plan, qkd::Rng& rng) {
-  TransportResult result;
-  result.route = plan.route;
-  result.exposed_to = plan.exposed_to;
-  result.compromised = plan.compromised;
-  result.pool_bits_consumed = plan.pool_bits_consumed;
-  if (!plan.success) return result;
-
-  const std::size_t frame_bits = plan.payload_bits + kFrameOverheadBits;
-  // Hop-by-hop one-time-pad relay. The key leaves the source encrypted,
-  // is decrypted and re-encrypted inside every relay, and arrives intact.
-  result.key = rng.next_bits(plan.payload_bits);
-  qkd::BitVector in_flight = result.key;
-  for (std::size_t hop = 0; hop < plan.route.links.size(); ++hop) {
-    const qkd::BitVector pad = plan.hop_pads.empty()
-                                   ? rng.next_bits(frame_bits)
-                                   : plan.hop_pads[hop];
-    const qkd::BitVector payload_pad = pad.slice(0, plan.payload_bits);
-    qkd::BitVector ciphertext = in_flight;
-    ciphertext ^= payload_pad;  // encrypted on the wire (tag under the rest)
-    in_flight = ciphertext;
-    in_flight ^= payload_pad;
-  }
   if (!(in_flight == result.key))
     throw std::logic_error("MeshSimulation: relay chain corrupted the key");
 
+  for (NodeId relay : result.exposed_to)
+    if (node_compromised(relay)) result.compromised = true;
+  if (result.compromised) ++stats_.transports_compromised;
+
   result.success = true;
+  ++stats_.transports_succeeded;
+  if (plan_span.recording()) {
+    plan_span.attr("hops", std::to_string(route->links.size()));
+    plan_span.attr("exposed_relays", std::to_string(result.exposed_to.size()));
+    if (result.compromised) plan_span.attr("compromised", "true");
+  }
   return result;
 }
 
@@ -314,7 +260,6 @@ void MeshSimulation::cut_link(LinkId link) {
   topology_.link(link).state = LinkState::kCut;
   purge_pool(link);
   if (service_) service_->set_link_enabled(link, false);
-  ++topology_version_;
 }
 
 bool MeshSimulation::set_classical_conditions(
@@ -343,18 +288,15 @@ double MeshSimulation::eavesdrop_link(LinkId link, double intercept_fraction) {
     topology_.link(link).state = LinkState::kEavesdropped;
     purge_pool(link);
   }
-  ++topology_version_;
   return q;
 }
 
 void MeshSimulation::compromise_node(NodeId node) {
   compromised_.at(node) = 1;
-  ++topology_version_;  // routing costs changed: cached routes go stale
 }
 
 void MeshSimulation::restore_node(NodeId node) {
   compromised_.at(node) = 0;
-  ++topology_version_;
 }
 
 bool MeshSimulation::node_compromised(NodeId node) const {
@@ -368,7 +310,6 @@ void MeshSimulation::restore_link(LinkId link) {
     service_->set_attack(link, nullptr);
     service_->set_link_enabled(link, true);
   }
-  ++topology_version_;
 }
 
 }  // namespace qkd::network

@@ -81,36 +81,6 @@ class MeshSimulation {
     std::uint64_t transports_compromised = 0;  // delivered via an owned relay
   };
 
-  /// Per-caller route memo for plan_key_batch: skips the Dijkstra run while
-  /// the topology state it was computed against is unchanged (see
-  /// topology_version()) and the cached route can still afford the frame.
-  /// Owned by the caller (the KMS keeps one per endpoint pair), so the mesh
-  /// holds no per-pair mutable state.
-  struct RouteCache {
-    std::optional<Route> route;
-    std::uint64_t version = 0;
-  };
-
-  /// Everything transport decides SEQUENTIALLY about one relay frame:
-  /// route, exposure, compromise flag, pool accounting (and, in engine
-  /// mode, the actual withdrawn hop pads). Materializing the frame — key
-  /// generation and the hop-by-hop OTP walk — is deferred to
-  /// finalize_frame, which touches no mesh state and therefore runs on any
-  /// thread: the split that lets KMS shards finalize frames in parallel
-  /// while the shared mesh is only ever touched between barriers.
-  struct FramePlan {
-    bool success = false;
-    Route route;
-    std::vector<NodeId> exposed_to;
-    bool compromised = false;
-    std::size_t payload_bits = 0;
-    std::size_t pool_bits_consumed = 0;
-    /// Engine mode: the per-hop pads withdrawn from each link's KeySupply
-    /// (frame_bits each, in hop order). Analytic mode leaves this empty and
-    /// finalize_frame draws simulated pads from the caller's rng.
-    std::vector<qkd::BitVector> hop_pads;
-  };
-
   /// Analytic-rate mesh (the fast estimator).
   MeshSimulation(Topology topology, std::uint64_t seed);
 
@@ -158,37 +128,12 @@ class MeshSimulation {
   /// request's key (the trust cost is per frame, not per request).
   /// `result.key` holds the payloads in request order. Throws
   /// std::invalid_argument on an empty batch or a zero-bit request.
+  /// With a tracer installed and a valid `trace`, the transport records one
+  /// "mesh.plan" span plus a "mesh.hop" span per consumed hop under it —
+  /// the relay legs of a traced KMS grant.
   TransportResult transport_key_batch(NodeId src, NodeId dst,
                                       const std::vector<std::size_t>& request_bits,
                                       obs::TraceContext trace = {});
-
-  /// The sequential half of a batch transport: routes, checks
-  /// affordability, consumes pool bits (withdrawing the real hop pads in
-  /// engine mode) and computes exposure/compromise — everything that
-  /// touches shared mesh state — without generating the key. With `cache`,
-  /// an unchanged-topology route is reused without rerunning Dijkstra
-  /// (recomputed when the topology version moved or the cached route can
-  /// no longer afford the frame), and Stats::reroutes counts per-caller
-  /// route changes instead of the global last-route flip. Failure planned
-  /// == failure: nothing was consumed and finalize must not run.
-  /// With a tracer installed and a valid `trace`, the plan records one
-  /// "mesh.plan" span plus a "mesh.hop" span per consumed hop under it —
-  /// the relay legs of a traced KMS grant.
-  FramePlan plan_key_batch(NodeId src, NodeId dst, std::size_t payload_bits,
-                           RouteCache* cache, obs::TraceContext trace = {});
-
-  /// The pure half: generates the end-to-end key from `rng` and walks the
-  /// hop-by-hop OTP relay using the plan's pads (or simulated pads drawn
-  /// from `rng` in analytic mode). Touches NO mesh state — safe to call
-  /// concurrently for plans of disjoint rng streams. transport_key_batch
-  /// is exactly plan + finalize on the mesh's own rng.
-  static TransportResult finalize_frame(const FramePlan& plan, qkd::Rng& rng);
-
-  /// Bumped by every topology-affecting mutation (cut/restore/eavesdrop/
-  /// compromise/restore-node); RouteCache entries from older versions are
-  /// recomputed on next use. Pool-level drift does NOT bump it: a cached
-  /// route stays legal, merely possibly suboptimal, until it starves.
-  std::uint64_t topology_version() const { return topology_version_; }
 
   /// Failure injection.
   void cut_link(LinkId link);
@@ -217,14 +162,13 @@ class MeshSimulation {
 
   const Stats& stats() const { return stats_; }
 
-  /// Installs (or, with nullptr, removes) the tracer the planning path
-  /// records spans into. Planning is sequential (the barrier thread or the
-  /// single scheduler stream), so spans land in cell 0.
+  /// Installs (or, with nullptr, removes) the tracer transports record
+  /// spans into (cell 0).
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Registers a collector exposing transport Stats plus the summed link
-  /// pool depth under `prefix`. Snapshot with the mesh quiesced (between
-  /// barriers / runs) — the same discipline every mesh read requires.
+  /// pool depth under `prefix`. Snapshot on the mesh's own thread, like
+  /// every other mesh read.
   void bind_metrics(obs::MetricsRegistry& registry, std::string prefix);
 
  private:
@@ -240,7 +184,6 @@ class MeshSimulation {
   std::vector<double> eavesdrop_fraction_;
   std::vector<char> compromised_;  // indexed by NodeId
   std::optional<Route> last_route_;
-  std::uint64_t topology_version_ = 1;
   Stats stats_;
   obs::Tracer* tracer_ = nullptr;
 };

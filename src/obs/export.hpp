@@ -17,7 +17,7 @@ namespace qkd::obs {
 
 /// Serializes spans as {"traceEvents": [...]} Chrome trace JSON. Open
 /// spans (sim_end < sim_start) export with zero duration. Track mapping:
-/// pid 1, tid = recording cell + 1 (one row per shard/lane).
+/// pid 1, tid = recording cell + 1 (one row per lane).
 std::string chrome_trace_json(const std::vector<Span>& spans);
 
 /// chrome_trace_json over everything `tracer` recorded.

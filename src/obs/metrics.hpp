@@ -1,7 +1,7 @@
 // One metrics registry for the whole stack.
 //
 // Every layer used to keep its own ad-hoc Stats struct (pipeline stage
-// tables, channel byte counters, KMS shard stats, mesh transport stats,
+// tables, channel byte counters, KMS stats, mesh transport stats,
 // worker-pool utilization); diagnosing a run meant reading eight of them.
 // The registry gives them one namespace and one export path (a
 // Prometheus-style text dump, plus structured snapshots for tests and the
@@ -11,10 +11,9 @@
 // snapshot time that reports current values (the Prometheus collector
 // pattern). Either way the existing accessors keep working.
 //
-// Instruments are sharded like the KMS: a family owns `cells` independent
-// cache-line-padded atomic slots (one per shard/lane), written with
-// relaxed operations — no cross-shard locks, no contention on the grant
-// path — and aggregated only when read.
+// A family owns `cells` independent cache-line-padded atomic slots (one
+// per writing lane), written with relaxed operations — no locks, no
+// contention between parallel writers — and aggregated only when read.
 #pragma once
 
 #include <atomic>
@@ -130,7 +129,7 @@ struct MetricSample {
 class MetricsRegistry {
  public:
   /// `cells` is the default sharding degree of newly created instruments
-  /// (pass the shard/lane count of whatever writes hottest).
+  /// (pass the lane count of whatever writes hottest).
   explicit MetricsRegistry(std::size_t cells = 1);
 
   /// Finds or creates the named instrument. The returned reference is
@@ -159,8 +158,7 @@ class MetricsRegistry {
   void add_collector(Collector collector);
 
   /// Every instrument plus every collector-reported value, sorted by
-  /// name. Reads are relaxed; call anytime (the satellite TSan test reads
-  /// while shard lanes write).
+  /// name. Reads are relaxed; call anytime, also while lanes write.
   std::vector<MetricSample> snapshot() const;
 
   /// Prometheus-style text exposition (one "# TYPE" line per family;

@@ -10,11 +10,9 @@
 // KmsWireClient is ONE trace from the client call through server
 // admission, DRR selection, mesh hops and the grant.
 //
-// The Tracer is storage plus an id allocator. It is sharded the same way
-// the KMS is: `cells` independent span buffers, one per shard/lane, so
-// recording on the grant path never takes a cross-shard lock (each cell
-// has its own mutex, touched only by its lane plus the parked-lane
-// reader). Everything checks enabled() first — a null or disabled tracer
+// The Tracer is storage plus an id allocator: `cells` independent span
+// buffers, one per worker lane, so parallel writers never share a lock
+// (each cell has its own mutex, touched only by its lane plus the reader). Everything checks enabled() first — a null or disabled tracer
 // costs one predictable branch, which is what lets the instrumentation
 // live permanently inside the hot paths (E21 pins the disabled overhead).
 #pragma once
@@ -67,7 +65,7 @@ struct SpanHandle {
 
 class Tracer {
  public:
-  /// `cells` is the sharding degree (KMS shard count, worker-lane count);
+  /// `cells` is the number of span buffers (one per writing lane);
   /// out-of-range cell arguments clamp to the last cell.
   explicit Tracer(std::size_t cells = 1);
 
@@ -134,7 +132,7 @@ class Tracer {
 /// RAII span: opens on construction (when `tracer` is non-null and
 /// enabled), closes on destruction. The common instrumentation shape:
 ///
-///   obs::ScopedSpan span(tracer_, "kms.service_round", ctx, shard);
+///   obs::ScopedSpan span(tracer_, "kms.service_round", ctx);
 ///   ... work ...
 ///   span.attr("requests", std::to_string(round.size()));
 class ScopedSpan {

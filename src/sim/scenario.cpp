@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "src/optics/attacks.hpp"
-#include "src/sim/sharded_scheduler.hpp"
 
 namespace qkd::sim {
 
@@ -340,24 +339,22 @@ void ScenarioRunner::apply(SimTime now, const ScenarioAction& action) {
   if (action_observer_) action_observer_(now, action);
 }
 
+void ScenarioRunner::arm_link_batch(network::LinkKeyService& service,
+                                    network::LinkId id, SimTime frame,
+                                    SimTime at) {
+  scheduler_->at(at, [this, &service, id, frame](SimTime now) {
+    SimTime next = frame;
+    if (mesh_->topology().link(id).usable()) {
+      const double before = service.session(id).totals().duration_s;
+      service.run_link_batch(id);
+      const double took = service.session(id).totals().duration_s - before;
+      if (took > 0.0) next = seconds_to_sim(took);
+    }
+    arm_link_batch(service, id, frame, now + next);
+  });
+}
+
 std::size_t ScenarioRunner::run(SimTime horizon) {
-  return run_with(horizon, [this](SimTime until) {
-    return scheduler_->run_until(until);
-  });
-}
-
-std::size_t ScenarioRunner::run(ShardedScheduler& sharded, SimTime horizon) {
-  if (&sharded.global() != scheduler_.get())
-    throw std::logic_error(
-        "ScenarioRunner::run: the ShardedScheduler must wrap this runner's "
-        "scheduler()");
-  return run_with(horizon, [&sharded](SimTime until) {
-    return sharded.run_until(until);
-  });
-}
-
-std::size_t ScenarioRunner::run_with(
-    SimTime horizon, const std::function<std::size_t(SimTime)>& drive) {
   if (running_)
     throw std::logic_error("ScenarioRunner::run: already ran");
   running_ = true;
@@ -397,20 +394,7 @@ std::size_t ScenarioRunner::run_with(
       for (const network::Link& link : mesh_->topology().links()) {
         const SimTime frame =
             seconds_to_sim(service->link_frame_duration_s(link.id));
-        const network::LinkId id = link.id;
-        auto fire = std::make_shared<std::function<void(SimTime)>>();
-        *fire = [this, service, id, frame, fire](SimTime now) {
-          SimTime next = frame;
-          if (mesh_->topology().link(id).usable()) {
-            const double before = service->session(id).totals().duration_s;
-            service->run_link_batch(id);
-            const double took =
-                service->session(id).totals().duration_s - before;
-            if (took > 0.0) next = seconds_to_sim(took);
-          }
-          scheduler_->at(now + next, *fire);
-        };
-        scheduler_->at(frame, *fire);
+        arm_link_batch(*service, link.id, frame, frame);
       }
     } else {
       // Accrual cadence between observations (keeps long idle stretches
@@ -441,7 +425,7 @@ std::size_t ScenarioRunner::run_with(
     });
   }
 
-  const std::size_t dispatched = drive(horizon);
+  const std::size_t dispatched = scheduler_->run_until(horizon);
   // Close the series at the horizon (unless periodic sampling just did).
   catch_up_mesh(horizon);
   if (recorder_.points().empty() || recorder_.points().back().t != horizon)

@@ -38,8 +38,6 @@
 
 namespace qkd::sim {
 
-class ShardedScheduler;
-
 // ---- Event vocabulary -----------------------------------------------------
 
 /// Fiber cut: the link stops distilling and routing abandons it.
@@ -235,13 +233,6 @@ class ScenarioRunner {
   /// sample. Returns the number of events dispatched.
   std::size_t run(SimTime horizon);
 
-  /// As run(horizon), but the timeline advances through `sharded`'s
-  /// windowed execution: everything the runner schedules stays on the
-  /// global stream (total order preserved) while services that registered
-  /// work on shard streams (a sharded KMS) advance in parallel between
-  /// barriers. `sharded` must wrap this runner's scheduler().
-  std::size_t run(ShardedScheduler& sharded, SimTime horizon);
-
   TimelineRecorder& recorder() { return recorder_; }
   const TimelineRecorder& recorder() const { return recorder_; }
   EventScheduler& scheduler() { return *scheduler_; }
@@ -251,16 +242,16 @@ class ScenarioRunner {
   }
 
  private:
-  /// Shared body of the run() overloads: `drive(horizon)` dispatches the
-  /// scheduled timeline and returns the events-dispatched count.
-  std::size_t run_with(SimTime horizon,
-                       const std::function<std::size_t(SimTime)>& drive);
   void apply(SimTime now, const ScenarioAction& action);
   /// Accrues an analytic mesh's distillation exactly up to `now`, so
   /// actions and samples at any instant observe pools as of that instant
   /// (the periodic tick only sets the accrual cadence between
   /// observations). Engine-backed meshes accrue by batch events instead.
   void catch_up_mesh(SimTime now);
+  /// Schedules link `id`'s next engine batch completion at `at`; each
+  /// completion re-arms itself (see run()).
+  void arm_link_batch(network::LinkKeyService& service, network::LinkId id,
+                      SimTime frame, SimTime at);
   void start_traffic(SimTime now, const TrafficBurst& burst);
   /// Schedules (or reschedules) the tunnel wakeup at the gateways' earliest
   /// deadline; called after every event that may have moved a deadline.

@@ -1,7 +1,6 @@
-// WorkerPool: the shared worker pool behind LinkKeyService distillation and
-// ShardedScheduler shard execution — inline single-lane path, index
-// coverage, caller participation, exception propagation, nested-call
-// fallback, and result-publication visibility.
+// WorkerPool: the worker pool behind LinkKeyService distillation — inline
+// single-lane path, index coverage, caller participation, exception
+// propagation, nested-call fallback, and result-publication visibility.
 #include "src/common/worker_pool.hpp"
 
 #include <gtest/gtest.h>

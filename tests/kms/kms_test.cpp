@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/network/key_service.hpp"
@@ -320,6 +322,53 @@ TEST(Kms, UnclaimedPeerCopyExpiresAfterTtl) {
   h.scheduler.run_for(2 * kSecond);
   EXPECT_FALSE(h.kms.get_key_with_id(client, key_id).has_value());
   EXPECT_EQ(h.kms.stats().claims_expired, 1u);
+}
+
+/// A relay hub with `pairs` disjoint endpoint pairs fanned around it, as
+/// hot as hot_star(). Pair p is the ordered endpoints (1 + 2p, 2 + 2p).
+Topology hot_fan(std::size_t pairs) {
+  Topology topo;
+  const NodeId hub = topo.add_node("hub", NodeKind::kTrustedRelay);
+  qkd::optics::LinkParams optics;
+  optics.fiber_km = 1.0;
+  optics.pulse_rate_hz = 1e9;
+  for (std::size_t p = 0; p < 2 * pairs; ++p) {
+    const NodeId node =
+        topo.add_node("e" + std::to_string(p), NodeKind::kEndpoint);
+    topo.add_link(hub, node, optics);
+  }
+  return topo;
+}
+
+TEST(Kms, MultiPairServiceGrantsEveryPairAndInspectsInPairOrder) {
+  constexpr std::size_t kPairs = 8;
+  qkd::SimClock clock;
+  sim::EventScheduler scheduler(clock);
+  MeshSimulation mesh(hot_fan(kPairs), 7);
+  mesh.step(20.0);
+  KeyManagementService kms(mesh, scheduler);
+
+  // Register in descending pair order so inspect_pairs' ordering is not
+  // just registration order replayed.
+  std::size_t granted = 0;
+  for (std::size_t p = kPairs; p-- > 0;) {
+    const auto src = static_cast<NodeId>(1 + 2 * p);
+    const auto dst = static_cast<NodeId>(2 + 2 * p);
+    const ClientId id = kms.register_client(
+        {"app-" + std::to_string(p), src, dst, QosClass::kInteractive});
+    kms.get_key(id, 512, [&granted](const Grant& grant) {
+      if (grant.status == GrantStatus::kGranted) ++granted;
+    });
+  }
+  scheduler.run_for(kSecond);
+  EXPECT_EQ(granted, kPairs);
+  EXPECT_EQ(kms.class_stats(QosClass::kInteractive).granted, kPairs);
+
+  const auto inspections = kms.inspect_pairs();
+  ASSERT_EQ(inspections.size(), kPairs);
+  for (std::size_t i = 1; i < inspections.size(); ++i)
+    EXPECT_LT(std::make_pair(inspections[i - 1].src, inspections[i - 1].dst),
+              std::make_pair(inspections[i].src, inspections[i].dst));
 }
 
 TEST(Kms, DegenerateRequestsThrow) {

@@ -85,7 +85,7 @@ TEST(KmsTraceIntegration, OneWireGetKeyIsOneConnectedTrace) {
   const auto alice = h.client.register_app("alice-app", 1, 2);
   ASSERT_TRUE(alice.has_value());
 
-  obs::Tracer tracer(h.kms.shard_count());
+  obs::Tracer tracer;
   tracer.set_sim_time_source([&h] { return h.scheduler.now(); });
   tracer.set_enabled(true);
   h.client.set_tracer(&tracer);
@@ -159,7 +159,7 @@ TEST(KmsTraceIntegration, OneWireGetKeyIsOneConnectedTrace) {
 
 TEST(KmsTraceIntegration, UntracedClientStillWorksAndRecordsNothing) {
   Harness h;
-  obs::Tracer tracer(h.kms.shard_count());
+  obs::Tracer tracer;
   tracer.set_enabled(true);
   // Server-side layers traced, client not: the v1 frame carries no
   // context, so the server must see untraced requests (and the KMS side

@@ -79,26 +79,6 @@ TEST(LinkKeyService, WorkerLanesClampOnceAtConstruction) {
   EXPECT_EQ(service.worker_lanes(), 6u);
 }
 
-TEST(LinkKeyService, SharedWorkerPoolIsAdoptedAndStaysDeterministic) {
-  // A caller-supplied pool is used as-is (its lane count wins over
-  // Config::threads) and the distilled streams still match the serial
-  // run bit for bit.
-  const Topology topo = Topology::relay_ring(4);
-  auto pool = std::make_shared<qkd::common::WorkerPool>(2);
-  LinkKeyService::Config shared_config = test_config(7, /*threads=*/1);
-  shared_config.pool = pool;
-  LinkKeyService shared(topo, shared_config);
-  EXPECT_EQ(shared.worker_lanes(), 2u);
-
-  LinkKeyService serial(topo, test_config(7, /*threads=*/1));
-  shared.run_batches(2);
-  serial.run_batches(2);
-  for (LinkId id = 0; id < topo.link_count(); ++id)
-    EXPECT_TRUE(shared.supply(id).take_all().bits ==
-                serial.supply(id).take_all().bits)
-        << "link " << id;
-}
-
 TEST(LinkKeyService, LinksDeriveIndependentKeyStreams) {
   // Same optics, same master seed — but different links must not replay
   // each other's keys.

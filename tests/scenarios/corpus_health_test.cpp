@@ -48,7 +48,6 @@ struct HealthHarness {
         runner(std::move(scenario)),
         kms(mesh, runner.scheduler(), kms_config),
         fleet(kms, runner.scheduler()),
-        registry(kms.shard_count()),
         alerts(registry) {
     runner.attach_mesh(mesh);
     runner.attach_client_driver(fleet);

@@ -13,8 +13,7 @@ Typical uses:
     tools/compare_bench.py old/BENCH_bench_kms.json new/BENCH_bench_kms.json
 
     # Scaling curves: rows of Arg-swept benchmarks from one snapshot set
-    tools/compare_bench.py bench-results --series bm_kms_sharded_sweep \
-        --series bm_obs_alert_evaluate_sweep
+    tools/compare_bench.py bench-results --series bm_obs_alert_evaluate_sweep
 
 Inputs are files or directories of ``BENCH_*.json`` as written by
 ``--benchmark_out_format=json`` (the CI bench-examples job and the
