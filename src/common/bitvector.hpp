@@ -6,6 +6,7 @@
 // words; bit i lives in word i/64 at position i%64.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -53,6 +54,16 @@ class BitVector {
 
   /// Number of set bits.
   std::size_t popcount() const;
+
+  /// Calls f(i) for each set bit i in increasing order, a word at a time:
+  /// the cost follows the set bits, not size(). Sparse scans (a Qframe's
+  /// detected slots) use it instead of get() on every position.
+  template <typename F>
+  void for_each_set_bit(F&& f) const {
+    for (std::size_t w = 0; w < words_.size(); ++w)
+      for (std::uint64_t word = words_[w]; word != 0; word &= word - 1)
+        f(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+  }
 
   /// Parity (XOR) of all bits.
   bool parity() const;

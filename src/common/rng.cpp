@@ -1,6 +1,5 @@
 #include "src/common/rng.hpp"
 
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -22,23 +21,6 @@ Rng::Rng(std::uint64_t seed) {
 
 Rng Rng::fork() { return Rng(next_u64()); }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::next_double() {
-  // 53 random mantissa bits.
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 std::uint64_t Rng::next_below(std::uint64_t bound) {
   if (bound == 0) throw std::invalid_argument("Rng::next_below: bound == 0");
   // Lemire's nearly-divisionless method with rejection for exact uniformity.
@@ -56,33 +38,19 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-bool Rng::next_bool(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
+unsigned Rng::next_poisson(double mu) { return PoissonDraw(mu)(*this); }
+
+PoissonDraw::PoissonDraw(double mu) : mu_(mu), limit_(std::exp(-mu)) {
+  if (mu < 0.0) throw std::invalid_argument("Rng::next_poisson: mu < 0");
 }
 
-unsigned Rng::next_poisson(double mu) {
-  if (mu < 0.0) throw std::invalid_argument("Rng::next_poisson: mu < 0");
-  if (mu == 0.0) return 0;
-  if (mu < 30.0) {
-    // Knuth inversion: multiply uniforms until the product drops below e^-mu.
-    const double limit = std::exp(-mu);
-    unsigned k = 0;
-    double prod = next_double();
-    while (prod > limit) {
-      ++k;
-      prod *= next_double();
-    }
-    return k;
-  }
+unsigned PoissonDraw::normal(double u1, double u2) const {
   // Normal approximation with continuity correction: adequate for large means,
   // which only occur in bright-pulse (framing) simulation where exact Poisson
   // tails are irrelevant.
-  const double u1 = next_double(), u2 = next_double();
   const double z = std::sqrt(-2.0 * std::log(1.0 - u1)) *
                    std::cos(2.0 * 3.14159265358979323846 * u2);
-  const double v = mu + std::sqrt(mu) * z + 0.5;
+  const double v = mu_ + std::sqrt(mu_) * z + 0.5;
   return v < 0.0 ? 0u : static_cast<unsigned>(v);
 }
 

@@ -10,6 +10,7 @@
 // per-pulse Monte-Carlo loops (millions of draws per simulated second).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -29,7 +30,17 @@ class Rng {
   /// Derives an independent child generator (for per-component seeding).
   Rng fork();
 
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
   std::uint32_t next_u32() { return static_cast<std::uint32_t>(next_u64() >> 32); }
 
   /// UniformRandomBitGenerator interface (usable with <random> distributions).
@@ -37,17 +48,23 @@ class Rng {
   static constexpr result_type max() { return std::numeric_limits<result_type>::max(); }
   result_type operator()() { return next_u64(); }
 
-  /// Uniform double in [0, 1).
-  double next_double();
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double next_double() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [0, bound). bound must be > 0.
   std::uint64_t next_below(std::uint64_t bound);
 
-  /// Bernoulli trial with probability p (clamped to [0,1]).
-  bool next_bool(double p = 0.5);
+  /// Bernoulli trial with probability p (clamped to [0,1]). p <= 0 and
+  /// p >= 1 decide without drawing.
+  bool next_bool(double p = 0.5) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return next_double() < p;
+  }
 
-  /// Poisson-distributed count with mean `mu` (exact inversion for small mu,
-  /// PTRS rejection for large mu). QKD sources use mu ~ 0.1.
+  /// Poisson-distributed count with mean `mu`; see PoissonDraw.
   unsigned next_poisson(double mu);
 
   /// Vector of n independent uniform bits.
@@ -55,6 +72,41 @@ class Rng {
 
  private:
   std::uint64_t s_[4];
+};
+
+/// Poisson draws at one fixed mean, exactly as Rng::next_poisson(mu) makes
+/// them, with exp(-mu) computed once instead of per draw. mu == 0 draws
+/// nothing; mu < 30 is Knuth's inversion (multiply uniforms until the
+/// product drops below exp(-mu)); larger means take one normal-approximation
+/// draw. QKD sources use mu ~ 0.1.
+class PoissonDraw {
+ public:
+  explicit PoissonDraw(double mu);  // throws std::invalid_argument if mu < 0
+
+  unsigned operator()(Rng& rng) const {
+    if (mu_ == 0.0) return 0;
+    if (mu_ < kNormalFrom) {
+      unsigned k = 0;
+      double prod = rng.next_double();
+      while (prod > limit_) {
+        ++k;
+        prod *= rng.next_double();
+      }
+      return k;
+    }
+    const double u1 = rng.next_double();
+    const double u2 = rng.next_double();
+    return normal(u1, u2);
+  }
+
+ private:
+  static constexpr double kNormalFrom = 30.0;
+  // Takes the two uniforms rather than the generator, so a caller's Rng
+  // never has its address taken and can live in registers.
+  unsigned normal(double u1, double u2) const;
+
+  double mu_;
+  double limit_;  // exp(-mu), the Knuth loop's stopping product
 };
 
 }  // namespace qkd

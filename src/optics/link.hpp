@@ -35,6 +35,17 @@ class WeakCoherentLink {
   /// Simulates `n_slots` consecutive trigger slots. If `attack` is non-null
   /// it is applied to every pulse and resolved against the (eventually
   /// public) basis string.
+  ///
+  /// The draw order is a contract: every frame, key and abort downstream is
+  /// a function of it, and tests/optics/link_golden_test.cpp pins it. Per
+  /// slot, from the link's one generator: Alice's basis, her value, the
+  /// photon number (none at mu = 0), then the attack's own draws, Bob's
+  /// basis, the misframe trial (only if misframe_prob > 0; a misframed slot
+  /// stops here), per photon a survival trial and, for a survivor, a routing
+  /// trial, the dark counts (one uniform when no photon clicked, else one
+  /// trial per detector) and the afterpulse trial of each detector that
+  /// clicked in the previous gate. A trial whose probability is <= 0 or
+  /// >= 1 draws nothing (Rng::next_bool).
   FrameResult run_frame(std::size_t n_slots, Attack* attack = nullptr);
 
   const LinkParams& params() const { return params_; }

@@ -90,6 +90,8 @@ void QkdLinkSession::bind_metrics(obs::MetricsRegistry& registry,
     // itself abandoned for excessive QBER.
     out.counter(prefix + "_aborted_qber", totals_.aborted_qber());
     out.gauge(prefix + "_link_seconds", totals_.duration_s);
+    out.counter(prefix + "_qframe_wall_us",
+                static_cast<std::uint64_t>(qframe_wall_s_ * 1e6));
     for (std::size_t i = 0; i < pipeline_.size() && i < stage_wall_s_.size();
          ++i) {
       const std::string stage = prefix + "_stage_" + pipeline_[i]->name();
@@ -104,10 +106,30 @@ BatchResult QkdLinkSession::run_batch(qkd::optics::Attack* attack) {
   BatchResult result;
   ++totals_.batches;
 
+  // The batch span roots its own trace (one per Qframe); the optics frame
+  // and each stage are children. A null/disabled tracer costs one branch
+  // per batch plus one per stage — the span construction is skipped
+  // entirely.
+  obs::ScopedSpan batch_span(tracer_, "qkd.batch", {}, trace_cell_);
+
   // ---- Physical layer: one Qframe of raw symbols. -------------------------
+  std::optional<obs::ScopedSpan> qframe_span;
+  if (batch_span.recording())
+    qframe_span.emplace(tracer_, "qkd.qframe", batch_span.context(),
+                        trace_cell_);
+  const auto qframe_start = std::chrono::steady_clock::now();
   const auto frame = link_.run_frame(config_.frame_slots, attack);
+  result.qframe_wall_s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - qframe_start)
+                             .count();
+  qframe_wall_s_ += result.qframe_wall_s;
   result.pulses = config_.frame_slots;
   result.detections = frame.bob.detected.popcount();
+  if (qframe_span.has_value()) {
+    qframe_span->attr("slots", std::to_string(result.pulses));
+    qframe_span->attr("detections", std::to_string(result.detections));
+    qframe_span->finish();
+  }
   result.duration_s = link_.frame_duration_s(config_.frame_slots);
   totals_.pulses += result.pulses;
 
@@ -128,10 +150,6 @@ BatchResult QkdLinkSession::run_batch(qkd::optics::Attack* attack) {
                    .result = result};
   AbortReason reason = AbortReason::kNone;
   result.stages.reserve(pipeline_.size());
-  // The batch span roots its own trace (one per Qframe); each stage is a
-  // child. A null/disabled tracer costs one branch per batch plus one per
-  // stage — the span construction is skipped entirely.
-  obs::ScopedSpan batch_span(tracer_, "qkd.batch", {}, trace_cell_);
   for (std::size_t s = 0; s < pipeline_.size(); ++s) {
     const auto& stage = pipeline_[s];
     const std::size_t messages_before = result.control_messages;

@@ -177,6 +177,9 @@ struct BatchResult {
   AbortReason reason = AbortReason::kNone;
   qkd::BitVector key;                // the distilled block (both sides equal)
   double duration_s = 0.0;           // wall-clock at the configured trigger rate
+  // Host wall-clock spent simulating the Qframe's optics (run_frame), which
+  // runs before the first stage and is not one of `stages`.
+  double qframe_wall_s = 0.0;
   // Per-stage decomposition, in execution order; an aborted batch records
   // only the stages that ran (the last entry is the one that aborted).
   std::vector<StageStats> stages;
@@ -274,16 +277,18 @@ class QkdLinkSession : public qkd::keystore::KeyProducer {
   const qkd::net::PublicChannel& channel() const { return channel_; }
 
   /// Installs (or, with nullptr, removes) a tracer: every run_batch then
-  /// records a "qkd.batch" span with one "qkd.<stage>" child per pipeline
-  /// stage, into `cell` (the session's lane in a LinkKeyService pool).
+  /// records a "qkd.batch" span with a "qkd.qframe" child for the optics
+  /// frame and one "qkd.<stage>" child per pipeline stage, into `cell` (the
+  /// session's lane in a LinkKeyService pool).
   void set_tracer(obs::Tracer* tracer, std::size_t cell = 0) {
     tracer_ = tracer;
     trace_cell_ = cell;
   }
 
-  /// Registers a collector exposing SessionTotals plus cumulative
-  /// per-stage wall time under `prefix`; totals()/BatchResult::stages keep
-  /// working unchanged. The session must outlive the registry's snapshots.
+  /// Registers a collector exposing SessionTotals plus cumulative optics
+  /// (`<prefix>_qframe_wall_us`) and per-stage wall time under `prefix`;
+  /// totals()/BatchResult::stages keep working unchanged. The session must
+  /// outlive the registry's snapshots.
   void bind_metrics(obs::MetricsRegistry& registry, std::string prefix);
 
   // ---- keystore::KeyProducer ----------------------------------------------
@@ -330,6 +335,7 @@ class QkdLinkSession : public qkd::keystore::KeyProducer {
   /// table without touching BatchResult.
   std::vector<double> stage_wall_s_;
   std::vector<std::size_t> stage_bytes_;
+  double qframe_wall_s_ = 0.0;  // cumulative BatchResult::qframe_wall_s
   obs::Tracer* tracer_ = nullptr;
   std::size_t trace_cell_ = 0;
   std::uint64_t next_frame_id_ = 0;

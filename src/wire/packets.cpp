@@ -55,12 +55,11 @@ void put_bits_sparse(Bytes& out, const qkd::BitVector& bits) {
   put_varint(out, bits.popcount());
   std::uint64_t previous = 0;
   bool first = true;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (!bits.get(i)) continue;
+  bits.for_each_set_bit([&](std::size_t i) {
     put_varint(out, first ? i : i - previous - 1);
     previous = i;
     first = false;
-  }
+  });
 }
 
 qkd::BitVector get_bits_sparse(ByteReader& reader) {

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
+
+#include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 
 namespace qkd::proto {
 namespace {
@@ -124,6 +128,48 @@ TEST(Pipeline, StagesCanBeSwappedAndInstrumented) {
   ASSERT_EQ(batch.stages.size(), 8u);
   EXPECT_EQ(batch.stages.front().name, "tap");
   EXPECT_EQ(batch.stages.front().control_bytes, 0u);
+}
+
+TEST(Pipeline, QframeIsATimedTracedChildOfTheBatch) {
+  QkdLinkConfig config;
+  config.frame_slots = 1 << 16;
+  QkdLinkSession session(config, 4);
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
+  obs::MetricsRegistry registry;
+  session.set_tracer(&tracer);
+  session.bind_metrics(registry, "link");
+  const BatchResult batch = session.run_batch();
+  EXPECT_GT(batch.qframe_wall_s, 0.0);
+  ASSERT_FALSE(batch.stages.empty());
+  EXPECT_EQ(batch.stages.front().name, "sifting");  // the frame is no stage
+
+  const std::vector<obs::Span> spans = tracer.spans();
+  const obs::Span* root = nullptr;
+  const obs::Span* qframe = nullptr;
+  for (const obs::Span& span : spans) {
+    if (span.name == "qkd.batch") root = &span;
+    if (span.name == "qkd.qframe") qframe = &span;
+  }
+  ASSERT_NE(root, nullptr);
+  ASSERT_NE(qframe, nullptr);
+  EXPECT_EQ(qframe->parent_span, root->span_id);
+  EXPECT_EQ(qframe->trace_id, root->trace_id);
+  EXPECT_GE(qframe->wall_start_ns, root->wall_start_ns);
+  // The frame runs before the first stage opens.
+  for (const obs::Span& span : spans) {
+    if (span.name == "qkd.sifting") {
+      EXPECT_EQ(span.parent_span, root->span_id);
+      EXPECT_LE(qframe->wall_end_ns, span.wall_start_ns);
+    }
+  }
+
+  double qframe_us = -1.0;
+  for (const obs::MetricSample& sample : registry.snapshot())
+    if (sample.name == "link_qframe_wall_us") qframe_us = sample.value;
+  EXPECT_EQ(qframe_us,
+            static_cast<double>(
+                static_cast<std::uint64_t>(batch.qframe_wall_s * 1e6)));
 }
 
 }  // namespace

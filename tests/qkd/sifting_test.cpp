@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/optics/link.hpp"
+#include "tests/testing/seeded_rng.hpp"
 
 namespace qkd::proto {
 namespace {
@@ -109,6 +113,129 @@ TEST(Sifting, DeserializeRejectsInconsistentBasisCount) {
   msg.bob_bases.push_back(true);  // one basis too many
   EXPECT_THROW(SiftMessage::deserialize(msg.serialize()),
                std::invalid_argument);
+}
+
+// ---- Bitwise reference: the slot-by-slot loops the word scans replaced. --
+
+SiftMessage reference_sift_message(std::uint64_t frame_id,
+                                   const qkd::optics::DetectionRecord& bob) {
+  SiftMessage msg;
+  msg.frame_id = frame_id;
+  msg.detected = bob.detected;
+  for (std::size_t i = 0; i < bob.size(); ++i)
+    if (bob.detected.get(i)) msg.bob_bases.push_back(bob.bases.get(i));
+  return msg;
+}
+
+AliceSiftResult reference_alice_sift(const qkd::optics::PulseTrainRecord& alice,
+                                     const SiftMessage& msg) {
+  AliceSiftResult result;
+  result.response.frame_id = msg.frame_id;
+  std::size_t det_index = 0;
+  for (std::size_t slot = 0; slot < alice.size(); ++slot) {
+    if (!msg.detected.get(slot)) continue;
+    const bool match = msg.bob_bases.get(det_index) == alice.bases.get(slot);
+    result.response.keep.push_back(match);
+    if (match) {
+      result.outcome.bits.push_back(alice.values.get(slot));
+      result.outcome.slot_indices.push_back(static_cast<std::uint32_t>(slot));
+    }
+    ++det_index;
+  }
+  return result;
+}
+
+SiftOutcome reference_bob_apply(const qkd::optics::DetectionRecord& bob,
+                                const SiftResponse& response) {
+  SiftOutcome outcome;
+  std::size_t det_index = 0;
+  for (std::size_t slot = 0; slot < bob.size(); ++slot) {
+    if (!bob.detected.get(slot)) continue;
+    if (response.keep.get(det_index)) {
+      outcome.bits.push_back(bob.bits.get(slot));
+      outcome.slot_indices.push_back(static_cast<std::uint32_t>(slot));
+    }
+    ++det_index;
+  }
+  return outcome;
+}
+
+struct SiftInput {
+  std::string name;
+  qkd::optics::PulseTrainRecord alice;
+  qkd::optics::DetectionRecord bob;
+};
+
+SiftInput random_input(std::string name, qkd::Rng& rng, std::size_t slots,
+                       std::uint64_t detect_one_in) {
+  SiftInput in{std::move(name), {}, {}};
+  in.alice.bases = rng.next_bits(slots);
+  in.alice.values = rng.next_bits(slots);
+  in.bob.bases = rng.next_bits(slots);
+  in.bob.bits = rng.next_bits(slots);
+  in.bob.detected = qkd::BitVector(slots);
+  for (std::size_t i = 0; i < slots; ++i)
+    if (rng.next_below(detect_one_in) == 0) in.bob.detected.set(i, true);
+  return in;
+}
+
+TEST(Sifting, WordScansMatchTheBitwiseReference) {
+  QKD_SEEDED_RNG(rng, 65573);
+  std::vector<SiftInput> inputs;
+  inputs.push_back(random_input("empty", rng, 0, 1));
+  inputs.push_back(random_input("all_set", rng, 65573, 1));
+  inputs.push_back(random_input("sparse_65573", rng, 65573, 300));
+  inputs.push_back(random_input("half_65573", rng, 65573, 2));
+  SiftInput ends = random_input("both_ends", rng, 65573, 1000);
+  ends.bob.detected.set(0, true);
+  ends.bob.detected.set(65572, true);
+  inputs.push_back(std::move(ends));
+  SiftInput frame{"link_frame", {}, {}};
+  auto link_frame = small_frame(9, 65573);
+  frame.alice = std::move(link_frame.alice);
+  frame.bob = std::move(link_frame.bob);
+  inputs.push_back(std::move(frame));
+
+  for (const SiftInput& in : inputs) {
+    SCOPED_TRACE(in.name);
+    const SiftMessage msg = make_sift_message(5, in.bob);
+    const SiftMessage ref_msg = reference_sift_message(5, in.bob);
+    EXPECT_EQ(msg.frame_id, ref_msg.frame_id);
+    EXPECT_EQ(msg.detected, ref_msg.detected);
+    EXPECT_EQ(msg.bob_bases, ref_msg.bob_bases);
+
+    const AliceSiftResult alice = alice_sift(in.alice, msg);
+    const AliceSiftResult ref_alice = reference_alice_sift(in.alice, ref_msg);
+    EXPECT_EQ(alice.response.frame_id, ref_alice.response.frame_id);
+    EXPECT_EQ(alice.response.keep, ref_alice.response.keep);
+    EXPECT_EQ(alice.outcome.bits, ref_alice.outcome.bits);
+    EXPECT_EQ(alice.outcome.slot_indices, ref_alice.outcome.slot_indices);
+
+    const SiftOutcome bob = bob_apply_response(in.bob, msg, alice.response);
+    const SiftOutcome ref_bob = reference_bob_apply(in.bob, ref_alice.response);
+    EXPECT_EQ(bob.bits, ref_bob.bits);
+    EXPECT_EQ(bob.slot_indices, ref_bob.slot_indices);
+  }
+}
+
+TEST(Sifting, ShortRecordsAreRejectedNotOverrun) {
+  QKD_SEEDED_RNG(rng, 4);
+  SiftInput in = random_input("short", rng, 1000, 3);
+  SiftMessage msg = make_sift_message(0, in.bob);
+  SiftMessage missing_basis = msg;
+  missing_basis.bob_bases.resize(msg.bob_bases.size() - 1);
+  EXPECT_THROW(alice_sift(in.alice, missing_basis), std::out_of_range);
+
+  qkd::optics::DetectionRecord short_bases = in.bob;
+  short_bases.bases.resize(500);
+  EXPECT_THROW(make_sift_message(0, short_bases), std::out_of_range);
+
+  const AliceSiftResult alice = alice_sift(in.alice, msg);
+  qkd::optics::DetectionRecord extra_click = in.bob;
+  for (std::size_t i = 0; i < extra_click.size(); ++i)
+    extra_click.detected.set(i, true);  // more clicks than `keep` covers
+  EXPECT_THROW(bob_apply_response(extra_click, msg, alice.response),
+               std::out_of_range);
 }
 
 }  // namespace

@@ -199,5 +199,49 @@ TEST(Packets, DecodePacketBytesIsTheFullStrictPath) {
   EXPECT_EQ(decode_packet_bytes(corrupt).error, WireError::kBadMagic);
 }
 
+/// The bit-at-a-time encoder the word scan replaced: absolute first
+/// position, then gap-1 to each following set bit.
+Bytes reference_sparse(const BitVector& bits) {
+  Bytes out;
+  put_varint(out, bits.size());
+  put_varint(out, bits.popcount());
+  std::uint64_t previous = 0;
+  bool first = true;
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (!bits.get(i)) continue;
+    put_varint(out, first ? i : i - previous - 1);
+    previous = i;
+    first = false;
+  }
+  return out;
+}
+
+TEST(Packets, SparseEncoderMatchesTheBitwiseReference) {
+  QKD_SEEDED_RNG(rng, 65573);
+  std::vector<BitVector> inputs;
+  inputs.emplace_back();                       // empty
+  inputs.emplace_back(65573);                  // no bit set
+  BitVector all(65573);
+  for (auto& word : all.words()) word = ~std::uint64_t{0};
+  all.normalize_tail();
+  inputs.push_back(all);                       // every bit set
+  BitVector sparse(65573);                     // ~1 %, plus both ends
+  for (std::size_t i = 0; i < sparse.size(); ++i)
+    if (rng.next_below(100) == 0) sparse.set(i, true);
+  sparse.set(0, true);
+  sparse.set(sparse.size() - 1, true);
+  inputs.push_back(sparse);
+  inputs.push_back(rng.next_bits(65573));      // dense random
+  inputs.push_back(BitVector{0, 0, 0, 1});     // one short word
+  for (const BitVector& bits : inputs) {
+    SCOPED_TRACE(bits.size());
+    Bytes got;
+    put_bits_sparse(got, bits);
+    EXPECT_EQ(got, reference_sparse(bits));
+    ByteReader reader(got);
+    EXPECT_EQ(get_bits_sparse(reader), bits);
+  }
+}
+
 }  // namespace
 }  // namespace qkd::wire

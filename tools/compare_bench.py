@@ -25,6 +25,14 @@ Only matched names are compared: added or removed benchmarks are listed
 informationally and never fail the run (the corpus is expected to grow).
 Pure table-printing entries (aggregates with no timing) are skipped.
 
+Every run prints each side's context (``num_cpus`` and
+``library_build_type`` from the JSON ``context`` block). A timing is only
+meaningful against one taken in the same context, and a scaling curve
+needs more than one core, so ``--strict`` refuses (exit 2) when the two
+sides' contexts differ, either side mixes contexts, or either side ran on
+one CPU; ``--series`` refuses likewise when its files mix contexts or ran
+on one CPU. The advisory comparison only reports.
+
 stdlib-only on purpose — runs anywhere python3 exists, no installs.
 """
 
@@ -47,15 +55,42 @@ def snapshot_files(path: Path):
     return files
 
 
+def load_doc(file: Path):
+    try:
+        return json.loads(file.read_text())
+    except json.JSONDecodeError as err:
+        raise SystemExit(f"error: {file}: not valid JSON ({err})")
+
+
+def context_of(doc):
+    """The (num_cpus, library_build_type) a snapshot was recorded in."""
+    context = doc.get("context", {})
+    return (context.get("num_cpus"), context.get("library_build_type"))
+
+
+def describe_contexts(contexts):
+    return ", ".join(f"num_cpus={cpus} library_build_type={build}"
+                     for cpus, build in sorted(contexts, key=str))
+
+
+def context_problem(label, contexts):
+    """Why timings from these contexts cannot be gated on, or None."""
+    if len(contexts) != 1:
+        return f"{label} mixes contexts ({describe_contexts(contexts)})"
+    (cpus, _build), = contexts
+    if cpus is None or cpus <= 1:
+        return f"{label} ran on num_cpus={cpus}"
+    return None
+
+
 def load_snapshots(path: Path):
-    """(file stem, benchmark name) -> real_time in ns."""
+    """((file stem, benchmark name) -> real_time in ns, set of contexts)."""
     files = snapshot_files(path)
     results = {}
+    contexts = set()
     for file in files:
-        try:
-            doc = json.loads(file.read_text())
-        except json.JSONDecodeError as err:
-            raise SystemExit(f"error: {file}: not valid JSON ({err})")
+        doc = load_doc(file)
+        contexts.add(context_of(doc))
         stem = file.stem
         for bench in doc.get("benchmarks", []):
             if bench.get("run_type") == "aggregate":
@@ -66,18 +101,17 @@ def load_snapshots(path: Path):
                 continue
             unit = TIME_UNIT_NS.get(bench.get("time_unit", "ns"), 1.0)
             results[(stem, name)] = real_time * unit
-    return results
+    return results, contexts
 
 
 def load_series(path: Path, prefix: str):
-    """Rows of ``prefix/<arg>`` entries: (arg, real_time ns, items/s)."""
+    """(rows of ``prefix/<arg>`` entries as (arg, real_time ns, items/s),
+    set of contexts of the files those rows came from)."""
     files = snapshot_files(path)
     rows = []
+    contexts = set()
     for file in files:
-        try:
-            doc = json.loads(file.read_text())
-        except json.JSONDecodeError as err:
-            raise SystemExit(f"error: {file}: not valid JSON ({err})")
+        doc = load_doc(file)
         for bench in doc.get("benchmarks", []):
             if bench.get("run_type") == "aggregate":
                 continue
@@ -91,17 +125,24 @@ def load_series(path: Path, prefix: str):
             unit = TIME_UNIT_NS.get(bench.get("time_unit", "ns"), 1.0)
             rows.append((arg, bench.get("real_time", 0.0) * unit,
                          bench.get("items_per_second")))
-    return sorted(rows)
+            contexts.add(context_of(doc))
+    return sorted(rows), contexts
 
 
 def print_series(path: Path, prefix: str) -> int:
     """The scaling curve: one row per Arg, speedup relative to the first."""
-    rows = load_series(path, prefix)
+    rows, contexts = load_series(path, prefix)
     if not rows:
         print(f"error: no '{prefix}/<arg>' benchmarks under {path}",
               file=sys.stderr)
         return 1
-    print(f"series {prefix} ({len(rows)} points)")
+    print(f"series {prefix} ({len(rows)} points; "
+          f"{describe_contexts(contexts)})")
+    problem = context_problem(str(path), contexts)
+    if problem:
+        print(f"error: refusing --series: {problem}; a scaling curve "
+              "needs one multi-core context", file=sys.stderr)
+        return 2
     print(f"  {'arg':>6} {'time':>12} {'items/s':>12} {'speedup':>8}")
     base_items = rows[0][2]
     base_time = rows[0][1]
@@ -150,8 +191,18 @@ def main():
     if args.candidate is None:
         parser.error("candidate is required unless --series is given")
 
-    base = load_snapshots(args.baseline)
-    cand = load_snapshots(args.candidate)
+    base, base_contexts = load_snapshots(args.baseline)
+    cand, cand_contexts = load_snapshots(args.candidate)
+    print(f"baseline:  {describe_contexts(base_contexts)}")
+    print(f"candidate: {describe_contexts(cand_contexts)}")
+    if args.strict:
+        problem = (context_problem("baseline", base_contexts)
+                   or context_problem("candidate", cand_contexts))
+        if problem is None and base_contexts != cand_contexts:
+            problem = "baseline and candidate contexts differ"
+        if problem:
+            print(f"error: refusing --strict: {problem}", file=sys.stderr)
+            return 2
 
     matched = sorted(set(base) & set(cand))
     added = sorted(set(cand) - set(base))
