@@ -63,11 +63,9 @@ void print_table() {
   }
   qkd::bench::row("");
   qkd::bench::row("the optics frame (qframe, before the first stage) "
-                  "dominates steady-state wall time; privacy amplification's "
-                  "mean here includes each new field width's one-time "
-                  "irreducible-modulus search (cached per process); the "
-                  "Cascade parity conversation dominates message count, "
-                  "sharing the byte budget with sifting");
+                  "dominates steady-state wall time; the Cascade parity "
+                  "conversation dominates message count, sharing the byte "
+                  "budget with sifting");
 }
 
 /// Full-batch latency with the optics frame's and each stage's mean wall

@@ -43,7 +43,7 @@ void print_table() {
     WeakCoherentLink link(params, 5);
     const std::size_t pulses = 1000000;
     const FrameResult frame = link.run_frame(pulses);
-    const SiftMessage msg = make_sift_message(0, frame.bob);
+    const qkd::wire::SiftAnnounce msg = make_sift_message(0, frame.bob);
     const AliceSiftResult sift = alice_sift(frame.alice, msg);
     qkd::bench::row("%12.3f %12zu %14zu %14zu %18.2f", p_detect, pulses,
                     frame.bob.detected.popcount(), sift.outcome.bits.size(),
@@ -59,13 +59,13 @@ void print_table() {
   const LinkParams op;  // defaults
   WeakCoherentLink link(op, 9);
   const FrameResult frame = link.run_frame(1 << 20);
-  const SiftMessage msg = make_sift_message(0, frame.bob);
+  const qkd::wire::SiftAnnounce msg = make_sift_message(0, frame.bob);
   const AliceSiftResult sift = alice_sift(frame.alice, msg);
   qkd::bench::row("  SIFT message: %zu bytes for %zu slots (%zu detections)",
-                  msg.serialize().size(), frame.bob.size(),
+                  msg.encode().size(), frame.bob.size(),
                   frame.bob.detected.popcount());
   qkd::bench::row("  SIFT RESPONSE: %zu bytes; sifted bits: %zu",
-                  sift.response.serialize().size(), sift.outcome.bits.size());
+                  sift.decision.encode().size(), sift.outcome.bits.size());
 }
 
 void bm_sift_round(benchmark::State& state) {
@@ -73,10 +73,10 @@ void bm_sift_round(benchmark::State& state) {
   WeakCoherentLink link(params, 13);
   const FrameResult frame = link.run_frame(1 << 18);
   for (auto _ : state) {
-    const SiftMessage msg = make_sift_message(0, frame.bob);
+    const qkd::wire::SiftAnnounce msg = make_sift_message(0, frame.bob);
     const AliceSiftResult alice = alice_sift(frame.alice, msg);
     benchmark::DoNotOptimize(
-        bob_apply_response(frame.bob, msg, alice.response));
+        bob_apply_response(frame.bob, msg, alice.decision));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(frame.bob.size()) *
                           state.iterations());

@@ -92,13 +92,6 @@ template <> PaParamsPacket representative() {
   return p;
 }
 template <> AbortPacket representative() { return AbortPacket{2}; }
-template <> KeyDigest representative() {
-  KeyDigest p;
-  p.frame_id = 7;
-  p.key_bits = 908;
-  p.digest.assign(20, 0x5C);
-  return p;
-}
 template <> KmsRegister representative() {
   KmsRegister m;
   m.name = "vpn-gw-7 (interactive)";
@@ -175,7 +168,6 @@ void print_tables() {
   size_row<VerifyHash>();
   size_row<PaParamsPacket>();
   size_row<AbortPacket>();
-  size_row<KeyDigest>();
   size_row<KmsRegister>();
   size_row<KmsRegisterReply>();
   size_row<KmsGetKey>();

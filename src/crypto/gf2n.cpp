@@ -3,8 +3,8 @@
 #include <array>
 #include <bit>
 #include <map>
-#include <mutex>
 #include <stdexcept>
+#include <string>
 
 namespace qkd::crypto {
 namespace {
@@ -79,9 +79,10 @@ std::vector<unsigned> prime_divisors(unsigned n) {
 }
 
 // Known low-weight irreducible polynomials (Seroussi, HPL-98-135 and common
-// usage, e.g. the GCM polynomial for n = 128). Entries are verified by
-// is_irreducible() the first time a field of that degree is built; a wrong
-// entry falls back to search, so the table is purely an accelerator.
+// usage, e.g. the GCM polynomial for n = 128), served as they stand: every
+// entry is proven with is_irreducible() once, by
+// IrreduciblePoly.ServesAllStackDegrees (which lists the whole table),
+// instead of on each first use at run time.
 const std::map<unsigned, SparsePoly>& poly_table() {
   static const std::map<unsigned, SparsePoly> table = {
       {32, {{32, 7, 3, 2, 0}}},    {64, {{64, 4, 3, 1, 0}}},
@@ -94,7 +95,6 @@ const std::map<unsigned, SparsePoly>& poly_table() {
       {2048, {{2048, 19, 14, 13, 0}}},
       {3072, {{3072, 11, 10, 5, 0}}},
       {4096, {{4096, 27, 15, 1, 0}}},
-      {8192, {{8192, 9, 5, 2, 0}}},
   };
   return table;
 }
@@ -182,39 +182,13 @@ bool is_irreducible(const SparsePoly& poly) {
 }
 
 SparsePoly irreducible_poly(unsigned degree) {
-  if (degree < 2) throw std::invalid_argument("irreducible_poly: degree < 2");
-  static std::mutex mu;
-  static std::map<unsigned, SparsePoly> cache;
-  std::scoped_lock lock(mu);
-  if (auto it = cache.find(degree); it != cache.end()) return it->second;
-
   const auto& table = poly_table();
-  if (auto it = table.find(degree); it != table.end()) {
-    if (is_irreducible(it->second)) {
-      cache[degree] = it->second;
-      return it->second;
-    }
-  }
-  // Trinomials first (cheapest), then pentanomials in lexicographic order.
-  for (unsigned k = 1; k < degree; ++k) {
-    SparsePoly cand{{degree, k, 0}};
-    if (is_irreducible(cand)) {
-      cache[degree] = cand;
-      return cand;
-    }
-  }
-  for (unsigned a = 3; a < degree; ++a) {
-    for (unsigned b = 2; b < a; ++b) {
-      for (unsigned c = 1; c < b; ++c) {
-        SparsePoly cand{{degree, a, b, c, 0}};
-        if (is_irreducible(cand)) {
-          cache[degree] = cand;
-          return cand;
-        }
-      }
-    }
-  }
-  throw std::runtime_error("irreducible_poly: no low-weight polynomial found");
+  const auto it = table.find(degree);
+  if (it == table.end())
+    throw UnsupportedFieldWidth(
+        "irreducible_poly: no tabled polynomial of degree " +
+        std::to_string(degree));
+  return it->second;
 }
 
 Gf2Field::Gf2Field(unsigned n) : n_(n), modulus_(irreducible_poly(n)) {}

@@ -8,14 +8,16 @@
 //
 // Elements are polynomials over GF(2) packed into BitVectors (bit i = the
 // coefficient of x^i). Field moduli are low-weight (trinomial / pentanomial)
-// irreducible polynomials. A built-in table covers the n values the stack
-// uses; any other multiple-of-32 n is served by an exhaustive low-weight
-// search validated by a Ben-Or irreducibility test. (Irreducibility is what
-// 2-universality of the hash requires; the paper says "primitive", which the
-// table entries also are, but we only rely on the field structure.)
+// irreducible polynomials from a built-in table covering the n values the
+// stack uses (the PA width ladder plus a few test widths); every entry is
+// proven by the Ben-Or/Rabin irreducibility test in the crypto tests, and
+// any other n is a typed error. (Irreducibility is what 2-universality of
+// the hash requires; the paper says "primitive", which the table entries
+// also are, but we only rely on the field structure.)
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "src/common/bitvector.hpp"
@@ -44,10 +46,14 @@ void reduce_mod(qkd::BitVector& value, const SparsePoly& mod);
 /// Ben-Or / Rabin irreducibility test over GF(2).
 bool is_irreducible(const SparsePoly& poly);
 
-/// Returns a low-weight irreducible polynomial of the given degree: the table
-/// entry if present (verified once), otherwise the lexicographically smallest
-/// irreducible trinomial or pentanomial found by search. Results are memoized.
-/// Throws std::invalid_argument for degree < 2.
+/// A field width with no polynomial on the built-in table.
+class UnsupportedFieldWidth : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// The built-in low-weight irreducible polynomial of the given degree.
+/// Throws UnsupportedFieldWidth for a degree not on the table.
 SparsePoly irreducible_poly(unsigned degree);
 
 /// The finite field GF(2^n) with a fixed modulus.

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "src/common/bitvector.hpp"
-#include "src/common/bytes.hpp"
+#include "src/wire/packets.hpp"
 
 namespace qkd::proto {
 
@@ -34,8 +34,10 @@ struct ParityQuery {
   std::uint32_t begin = 0;
   std::uint32_t end = 0;
 
-  Bytes serialize() const;
-  static ParityQuery deserialize(const Bytes& wire);
+  /// The query as it crosses the wire (its one codec is
+  /// wire::ParityRequest's), and back.
+  wire::ParityRequest to_request() const;
+  static ParityQuery from_request(const wire::ParityRequest& request);
   bool operator==(const ParityQuery&) const = default;
 };
 

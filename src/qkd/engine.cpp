@@ -12,10 +12,14 @@ namespace {
 
 /// Prepositioned secret both endpoints share before QKD begins ("some means
 /// of distributing these keys before QKD itself begins, e.g., by human
-/// courier"). In the simulation it is derived from the session seed.
-qkd::BitVector preposition_secret(std::uint64_t seed, std::size_t bits) {
+/// courier"). In the simulation it is derived from the seed both endpoints
+/// share, so the session's two sides and the two peers derive it alike.
+qkd::BitVector preposition_secret(const QkdLinkConfig& config,
+                                  std::uint64_t seed) {
   qkd::crypto::Drbg courier(seed ^ 0xC0931E5ULL);
-  return courier.generate_bits(bits);
+  return courier.generate_bits(
+      AuthenticationService::required_secret_bits(config.auth) +
+      config.preposition_extra_bits);
 }
 
 }  // namespace
@@ -42,22 +46,17 @@ const char* abort_reason_name(AbortReason reason) {
   return "?";
 }
 
+DialogueEndpoint::DialogueEndpoint(const QkdLinkConfig& config,
+                                   std::uint64_t seed, bool is_alice)
+    : drbg(seed ^ 0xD15711ULL),
+      auth(config.auth, preposition_secret(config, seed),
+           /*is_initiator=*/is_alice) {}
+
 QkdLinkSession::QkdLinkSession(QkdLinkConfig config, std::uint64_t seed)
     : config_(config),
       link_(config.link, seed),
-      drbg_(seed ^ 0xD15711ULL),
-      alice_auth_(config.auth,
-                  preposition_secret(
-                      seed, AuthenticationService::required_secret_bits(
-                                config.auth) +
-                                config.preposition_extra_bits),
-                  /*is_initiator=*/true),
-      bob_auth_(config.auth,
-                preposition_secret(
-                    seed, AuthenticationService::required_secret_bits(
-                              config.auth) +
-                              config.preposition_extra_bits),
-                /*is_initiator=*/false),
+      alice_(config, seed, /*is_alice=*/true),
+      bob_(config, seed, /*is_alice=*/false),
       alice_wire_(channel_, qkd::net::ChannelTransport::Side::kA),
       bob_wire_(channel_, qkd::net::ChannelTransport::Side::kB),
       pipeline_(default_pipeline()),
@@ -134,19 +133,12 @@ BatchResult QkdLinkSession::run_batch(qkd::optics::Attack* attack) {
   totals_.pulses += result.pulses;
 
   // ---- Protocol stack: the stage pipeline over one shared context. --------
-  BatchContext ctx{.config = config_,
-                   .drbg = drbg_,
-                   .alice_auth = alice_auth_,
-                   .bob_auth = bob_auth_,
+  const std::uint64_t frame_id = next_frame_id_++;
+  BatchContext ctx{.alice = {config_, alice_.drbg, alice_.auth, frame_id},
+                   .bob = {config_, bob_.drbg, bob_.auth, frame_id},
                    .alice_wire = alice_wire_,
                    .bob_wire = bob_wire_,
                    .frame = frame,
-                   .frame_id = next_frame_id_++,
-                   .alice_bits = {},
-                   .bob_bits = {},
-                   .usable_bits = 0.0,
-                   .alice_key = {},
-                   .bob_key = {},
                    .result = result};
   AbortReason reason = AbortReason::kNone;
   result.stages.reserve(pipeline_.size());

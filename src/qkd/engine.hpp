@@ -10,7 +10,7 @@
 // the batch was rejected — too much disturbance (eavesdropping alarm),
 // entropy exhausted, or residual error detected.
 //
-// All control traffic is serialized to real wire bytes, carried through the
+// All control traffic is encoded to real wire bytes, carried through the
 // Wegman-Carter authentication service, and accounted (message and byte
 // counts), so protocol overhead experiments read directly off BatchResult —
 // including per-stage wall time and wire bytes (BatchResult::stages).
@@ -142,6 +142,20 @@ struct QkdLinkConfig {
   std::size_t preposition_extra_bits = 8192;
 };
 
+/// One endpoint's long-lived protocol state. Both endpoints derive it from
+/// the one launch seed they share, which stands in for the couriered
+/// pre-QKD secret: a DRBG seeded alike on both sides (the dialogue's sample
+/// positions, corrector seeds and PA parameters are drawn from it, never
+/// sent), and the Wegman-Carter service keyed from the prepositioned
+/// secret. The session holds one per side; each peer holds its own.
+struct DialogueEndpoint {
+  DialogueEndpoint(const QkdLinkConfig& config, std::uint64_t seed,
+                   bool is_alice);
+
+  qkd::crypto::Drbg drbg;
+  AuthenticationService auth;
+};
+
 /// Wall-time and wire traffic attributed to one pipeline stage of one batch.
 struct StageStats {
   std::string name;                  // PipelineStage::name()
@@ -267,8 +281,8 @@ class QkdLinkSession : public qkd::keystore::KeyProducer {
   const SessionTotals& totals() const { return totals_; }
   const QkdLinkConfig& config() const { return config_; }
   const qkd::optics::WeakCoherentLink& link() const { return link_; }
-  const AuthenticationService& alice_auth() const { return alice_auth_; }
-  const AuthenticationService& bob_auth() const { return bob_auth_; }
+  const AuthenticationService& alice_auth() const { return alice_.auth; }
+  const AuthenticationService& bob_auth() const { return bob_.auth; }
 
   /// The public channel every control frame of this session crosses.
   /// Install impairments or ClassicalConditions here to attack the framed
@@ -322,9 +336,8 @@ class QkdLinkSession : public qkd::keystore::KeyProducer {
 
   QkdLinkConfig config_;
   qkd::optics::WeakCoherentLink link_;
-  qkd::crypto::Drbg drbg_;
-  AuthenticationService alice_auth_;
-  AuthenticationService bob_auth_;
+  DialogueEndpoint alice_;
+  DialogueEndpoint bob_;
   qkd::net::PublicChannel channel_;
   qkd::net::ChannelTransport alice_wire_;
   qkd::net::ChannelTransport bob_wire_;

@@ -3,23 +3,32 @@
 // wire::Transport (in practice the TCP transport — the integration suite
 // forks one process per endpoint and connects them over localhost).
 //
-// The dialogue is frame-for-frame the one the in-process pipeline ships
-// over the in-memory channel: SiftAnnounce/SiftDecision, two
-// SampleReveals, the bare parity dialogue, EcSummary, two VerifyHashes,
-// PaParams per chunk, Abort on rejection. Determinism does the rest: both
-// peers seed the same DRBG, so sample positions, EC seeds and PA
-// parameters come out identical on both sides without ever crossing the
-// wire (Bob cross-checks the announced PA parameters against his own
-// derivation and aborts on any divergence).
+// A peer runs its own side's steps of the dialogue (src/qkd/dialogue.hpp),
+// the same steps the in-process pipeline runs for both sides, and moves
+// their packets with send/receive on its transport: SiftAnnounce/
+// SiftDecision, two SampleReveals, the bare parity dialogue, EcSummary,
+// two VerifyHashes, PaParams per chunk. Both peers seed their DRBG alike,
+// so sample positions, corrector seeds and PA parameters agree without
+// crossing the wire (Bob cross-checks Alice's announced PA parameters
+// against his own derivation). Each side spends its own pad on exactly
+// the messages it sends in-process, so the peers exhaust their pads on
+// the same batch QkdLinkSession does.
 //
-// Two frame types exist only here and are excluded from control-traffic
-// accounting: QframeFeed (Alice simulates the optics and feeds Bob his
-// detection record — the QUANTUM channel, bootstrapped) and KeyDigest
-// (each side proves its distilled key byte-identical to the other's).
+// Rejection: Alice announces every verdict reached from shared data
+// (nothing sifted, QBER alarms, non-convergence, hash mismatch, entropy
+// exhausted) with one bare kAbort frame, which Bob, having reached the
+// same verdict, consumes. A side that aborts on its own (no pad left to
+// protect its next message, a dead or tampered wire) announces that too,
+// so the other side learns the reason at once instead of at its receive
+// timeout. The one exception is Bob's PA cross-check: Alice has stopped
+// listening by then.
+//
+// QframeFeed is the one frame type outside the dialogue: Alice simulates
+// the optics and feeds Bob his detection record — the QUANTUM channel,
+// bootstrapped — and it is excluded from control-traffic accounting.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "src/optics/link.hpp"
 #include "src/qkd/engine.hpp"
@@ -32,13 +41,12 @@ struct PeerOutcome {
   bool accepted = false;
   AbortReason reason = AbortReason::kNone;
   qkd::BitVector key;             // this side's distilled block
-  bool digest_matched = false;    // peer's KeyDigest agreed with ours
   std::uint64_t frame_id = 0;
   std::size_t sifted_bits = 0;
   std::size_t errors_corrected = 0;
   double qber_sampled = 0.0;
-  // Control frames THIS side put on the wire (QframeFeed/KeyDigest
-  // excluded, matching the in-process accounting).
+  // Control frames THIS side put on the wire (QframeFeed excluded,
+  // matching the in-process accounting).
   std::size_t control_messages = 0;
   std::size_t control_bytes = 0;
 };
@@ -52,13 +60,12 @@ class AlicePeer {
 
   PeerOutcome run_batch(wire::Transport& io);
 
-  const AuthenticationService& auth() const { return auth_; }
+  const AuthenticationService& auth() const { return self_.auth; }
 
  private:
   QkdLinkConfig config_;
   qkd::optics::WeakCoherentLink link_;
-  qkd::crypto::Drbg drbg_;
-  AuthenticationService auth_;
+  DialogueEndpoint self_;
   std::uint64_t next_frame_id_ = 0;
 };
 
@@ -71,12 +78,11 @@ class BobPeer {
 
   PeerOutcome run_batch(wire::Transport& io);
 
-  const AuthenticationService& auth() const { return auth_; }
+  const AuthenticationService& auth() const { return self_.auth; }
 
  private:
   QkdLinkConfig config_;
-  qkd::crypto::Drbg drbg_;
-  AuthenticationService auth_;
+  DialogueEndpoint self_;
   std::uint64_t next_frame_id_ = 0;
 };
 

@@ -12,16 +12,21 @@
 //   SiftingStage -> SamplingStage -> ErrorCorrectionStage -> VerifyStage
 //     -> EntropyStage -> PrivacyAmplificationStage -> AuthReplenishStage
 //
-// A stage returns AbortReason::kNone to pass control to the next stage, or
-// the reason the batch must be rejected; the runner stops at the first
-// abort. The physical layer (one Qframe through the optics) runs before the
-// pipeline and fills BatchContext::frame.
+// Each stage runs both sides' steps of its part of the dialogue
+// (src/qkd/dialogue.hpp) in dialogue order, moving every packet between
+// them with BatchContext::ship; the two-process peers (src/qkd/peer.hpp)
+// run the same steps one side each. A stage returns AbortReason::kNone to
+// pass control to the next stage, or the reason the batch must be
+// rejected; the runner stops at the first abort. The physical layer (one
+// Qframe through the optics) runs before the pipeline and fills
+// BatchContext::frame.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "src/qkd/dialogue.hpp"
 #include "src/qkd/engine.hpp"
 #include "src/wire/packets.hpp"
 #include "src/wire/transport.hpp"
@@ -35,36 +40,18 @@ enum class ShipStatus {
   kChannelLost,    // retransmission gave up on the classical channel
 };
 
-/// Per-frame working state threaded through the stages. Stages communicate
-/// exclusively through this object: each consumes fields written by its
-/// predecessors and writes its own outputs (plus accounting into `result`).
+/// Per-frame working state threaded through the stages: each side's own
+/// state, its end of the classical channel, the Qframe, and the batch's
+/// accounting. A stage's steps for one side touch only that side's state.
 struct BatchContext {
-  // Fixed for the batch (owned by the session).
-  const QkdLinkConfig& config;
-  qkd::crypto::Drbg& drbg;
-  AuthenticationService& alice_auth;
-  AuthenticationService& bob_auth;
+  DialogueSide alice;
+  DialogueSide bob;
   // Each side's end of the classical channel (Alice = side A). The
   // in-memory session hands in two ChannelTransports over one
-  // PublicChannel; the same dialogue runs unchanged over TCP sockets in
-  // the two-process peers.
+  // PublicChannel.
   wire::Transport& alice_wire;
   wire::Transport& bob_wire;
   const qkd::optics::FrameResult& frame;
-  std::uint64_t frame_id = 0;
-
-  // Evolving key material. Sifting fills the bit strings; sampling shrinks
-  // them; error correction mutates bob_bits in place; privacy amplification
-  // consumes them into alice_key/bob_key.
-  qkd::BitVector alice_bits;
-  qkd::BitVector bob_bits;
-
-  // Entropy-stage output: distillable bits net of the PA margin.
-  double usable_bits = 0.0;
-
-  // Privacy-amplification outputs (equal by construction after verify).
-  qkd::BitVector alice_key;
-  qkd::BitVector bob_key;
 
   // Accounting sink; also where the final key lands.
   BatchResult& result;
@@ -75,14 +62,12 @@ struct BatchContext {
   /// Counts every frame actually put on the wire into `result`.
   template <typename Packet>
   ShipStatus ship(bool from_alice, const Packet& packet) {
-    return ship_frame(from_alice, Packet::kType, packet.encode(),
-                      /*authenticated=*/true);
+    return ship_frame(from_alice, Packet::kType, packet.encode());
   }
 
-  /// The transport-level primitive behind ship(); `authenticated=false`
-  /// frames travel bare (the parity dialogue, the abort notice).
+  /// The transport-level primitive behind ship().
   ShipStatus ship_frame(bool from_alice, wire::PacketType type,
-                        const Bytes& packet_payload, bool authenticated);
+                        const Bytes& packet_payload);
 };
 
 /// One stage of the distillation pipeline.
@@ -107,17 +92,14 @@ class SiftingStage final : public PipelineStage {
 
 /// Sacrifices a random `sample_fraction` of the sifted bits to estimate the
 /// error rate in the clear; early-aborts at intercept-resend QBER levels.
-/// The sample positions are drawn with a partial Fisher-Yates shuffle over
-/// indices — O(n) regardless of the fraction (the previous
-/// rejection-sampling loop was O(n*target) expected and degenerated as the
-/// fraction grew).
 class SamplingStage final : public PipelineStage {
  public:
   const char* name() const override { return "sampling"; }
   AbortReason run(BatchContext& ctx) override;
 };
 
-/// Bob drives the configured corrector against Alice's parity oracle.
+/// Bob drives the configured corrector against Alice's parity oracle; his
+/// summary closes the dialogue.
 class ErrorCorrectionStage final : public PipelineStage {
  public:
   const char* name() const override { return "error-correction"; }
@@ -141,7 +123,8 @@ class EntropyStage final : public PipelineStage {
 };
 
 /// GF(2^n) linear-hash privacy amplification, chunked to the field-width
-/// ladder (Sec. 5).
+/// ladder (Sec. 5): Alice announces each chunk's parameters, Bob
+/// cross-checks them against his own derivation.
 class PrivacyAmplificationStage final : public PipelineStage {
  public:
   const char* name() const override { return "privacy-amplification"; }

@@ -2,42 +2,9 @@
 
 #include <stdexcept>
 
+#include "src/crypto/gf2n.hpp"
+
 namespace qkd::proto {
-
-Bytes PaParams::serialize() const {
-  Bytes out;
-  put_u32(out, n);
-  put_u32(out, m);
-  put_u8(out, static_cast<std::uint8_t>(modulus.exponents.size()));
-  for (unsigned e : modulus.exponents) put_u32(out, e);
-  put_bytes(out, multiplier.to_bytes());
-  put_bytes(out, addend.to_bytes());
-  return out;
-}
-
-PaParams PaParams::deserialize(const Bytes& wire) {
-  try {
-    ByteReader reader(wire);
-    PaParams p;
-    p.n = reader.u32();
-    p.m = reader.u32();
-    if (p.n == 0 || p.n % 32 != 0 || p.m > p.n)
-      throw std::invalid_argument("PaParams: bad field/output widths");
-    const std::uint8_t terms = reader.u8();
-    for (unsigned i = 0; i < terms; ++i)
-      p.modulus.exponents.push_back(reader.u32());
-    if (p.modulus.degree() != p.n)
-      throw std::invalid_argument("PaParams: modulus degree != n");
-    p.multiplier = qkd::BitVector::from_bytes(reader.bytes((p.n + 7) / 8));
-    p.multiplier.resize(p.n);
-    p.addend = qkd::BitVector::from_bytes(reader.bytes((p.m + 7) / 8));
-    p.addend.resize(p.m);
-    if (!reader.done()) throw std::invalid_argument("PaParams: trailing bytes");
-    return p;
-  } catch (const std::out_of_range&) {
-    throw std::invalid_argument("PaParams: truncated");
-  }
-}
 
 namespace {
 // Widths whose low-weight irreducible polynomials are pinned in the
@@ -58,26 +25,28 @@ std::size_t pa_max_block_bits() {
   return kWidthLadder[std::size(kWidthLadder) - 1];
 }
 
-PaParams make_pa_params(std::size_t input_bits, std::size_t output_bits,
-                        qkd::crypto::Drbg& drbg) {
+wire::PaParamsPacket make_pa_params(std::size_t input_bits,
+                                    std::size_t output_bits,
+                                    qkd::crypto::Drbg& drbg) {
   if (output_bits > input_bits)
     throw std::invalid_argument("make_pa_params: output exceeds input");
   if (input_bits == 0)
     throw std::invalid_argument("make_pa_params: empty input");
-  PaParams p;
+  wire::PaParamsPacket p;
   p.n = pa_field_width(input_bits);
   p.m = static_cast<std::uint32_t>(output_bits);
-  p.modulus = qkd::crypto::irreducible_poly(p.n);
+  p.modulus_exponents = qkd::crypto::irreducible_poly(p.n).exponents;
   p.multiplier = drbg.generate_bits(p.n);
   p.addend = drbg.generate_bits(p.m);
   return p;
 }
 
 qkd::BitVector privacy_amplify(const qkd::BitVector& input,
-                               const PaParams& params) {
+                               const wire::PaParamsPacket& params) {
   if (input.size() > params.n)
     throw std::invalid_argument("privacy_amplify: input wider than field");
-  const qkd::crypto::Gf2Field field(params.n, params.modulus);
+  const qkd::crypto::Gf2Field field(
+      params.n, qkd::crypto::SparsePoly{params.modulus_exponents});
   qkd::BitVector x = input;
   x.resize(params.n);  // zero-pad up to the field width
   qkd::BitVector product = field.multiply(params.multiplier, x);

@@ -18,48 +18,38 @@
 #include <cstdint>
 
 #include "src/common/bitvector.hpp"
-#include "src/common/bytes.hpp"
 #include "src/crypto/drbg.hpp"
-#include "src/crypto/gf2n.hpp"
+#include "src/wire/packets.hpp"
 
 namespace qkd::proto {
-
-/// The four wire-announced parameters.
-struct PaParams {
-  std::uint32_t n = 0;                 // field width (multiple of 32)
-  std::uint32_t m = 0;                 // output bits, m <= n
-  qkd::crypto::SparsePoly modulus;     // sparse irreducible polynomial
-  qkd::BitVector multiplier;           // n bits
-  qkd::BitVector addend;               // m bits
-
-  Bytes serialize() const;
-  static PaParams deserialize(const Bytes& wire);
-};
 
 /// Rounds an input length up to the field width the paper prescribes.
 inline std::uint32_t round_up_to_32(std::size_t bits) {
   return static_cast<std::uint32_t>((bits + 31) / 32 * 32);
 }
 
-/// Field widths with pre-validated low-weight irreducible polynomials.
-/// make_pa_params picks the smallest ladder entry >= round_up_to_32(input):
-/// zero-padding the input into a slightly wider field preserves
-/// 2-universality and avoids an open-ended polynomial search for every
-/// distinct batch size. The largest ladder width bounds a PA block; the
-/// engine chunks longer inputs.
+/// Field widths with low-weight irreducible polynomials on the built-in
+/// table (qkd::crypto::irreducible_poly). make_pa_params picks the smallest
+/// ladder entry >= round_up_to_32(input): zero-padding the input into a
+/// slightly wider field preserves 2-universality, so every batch size maps
+/// to a tabled field. The largest ladder width bounds a PA block; the
+/// dialogue chunks longer inputs.
 std::uint32_t pa_field_width(std::size_t input_bits);
 
 /// Largest input a single PA block supports (== top of the ladder).
 std::size_t pa_max_block_bits();
 
-/// Initiator's choice of parameters for shrinking `input_bits` bits to
-/// `output_bits` bits. Throws std::invalid_argument if output > input.
-PaParams make_pa_params(std::size_t input_bits, std::size_t output_bits,
-                        qkd::crypto::Drbg& drbg);
+/// Initiator's choice of the four announced parameters (field width n,
+/// output width m, sparse modulus, multiplier and addend) for shrinking
+/// `input_bits` bits to `output_bits` bits: the PaParams packet itself.
+/// Throws std::invalid_argument if output > input.
+wire::PaParamsPacket make_pa_params(std::size_t input_bits,
+                                    std::size_t output_bits,
+                                    qkd::crypto::Drbg& drbg);
 
 /// Applies the announced hash. Both sides call this with identical params;
 /// equal inputs yield equal outputs (and unequal inputs almost surely don't).
 qkd::BitVector privacy_amplify(const qkd::BitVector& input,
-                               const PaParams& params);
+                               const wire::PaParamsPacket& params);
 
 }  // namespace qkd::proto

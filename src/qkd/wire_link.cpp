@@ -1,27 +1,6 @@
 #include "src/qkd/wire_link.hpp"
 
 namespace qkd::proto {
-namespace {
-
-ParityQuery to_query(const wire::ParityRequest& request) {
-  ParityQuery query;
-  query.kind = static_cast<ParityQuery::Kind>(request.kind);
-  query.seed = request.seed;
-  query.begin = request.begin;
-  query.end = request.end;
-  return query;
-}
-
-wire::ParityRequest to_request(const ParityQuery& query) {
-  wire::ParityRequest request;
-  request.kind = static_cast<std::uint8_t>(query.kind);
-  request.seed = query.seed;
-  request.begin = query.begin;
-  request.end = query.end;
-  return request;
-}
-
-}  // namespace
 
 bool WireParityServer::serve_one(wire::Transport& io) {
   const auto raw = io.recv_frame();
@@ -37,7 +16,7 @@ bool WireParityServer::serve_frame(wire::Transport& io,
   const auto request = wire::ParityRequest::decode(frame.payload);
   if (!request.ok()) return false;
 
-  const ParityQuery query = to_query(request.value);
+  const ParityQuery query = ParityQuery::from_request(request.value);
   // A retransmitted duplicate re-answers from cache: the same parity bit
   // said twice is one disclosure, not two.
   if (!(last_query_.has_value() && *last_query_ == query)) {
@@ -55,8 +34,11 @@ bool WireParityServer::serve_frame(wire::Transport& io,
 }
 
 bool WireParityClient::parity(const ParityQuery& query) {
-  ++queries_;
-  const Bytes framed = wire::to_frame(to_request(query));
+  // Counted the way the server counts: the same question asked twice in a
+  // row discloses one parity bit, not two.
+  if (!(last_query_.has_value() && *last_query_ == query)) ++queries_;
+  last_query_ = query;
+  const Bytes framed = wire::to_frame(query.to_request());
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     io_.send_frame(framed);
     ++traffic_.messages;

@@ -87,9 +87,10 @@ class WireParityClient final : public ParityOracle {
 
   const WireTraffic& traffic() const { return traffic_; }
 
-  /// Distinct parity questions asked (retransmits excluded) — Bob's side
-  /// of the disclosure count the entropy estimate charges for, mirroring
-  /// the server's oracle_.disclosed().
+  /// Parity bits disclosed, counted exactly as WireParityServer counts
+  /// them (retransmits and back-to-back repeats of one question excluded):
+  /// Bob's side of the `d` his entropy estimate charges, equal to Alice's
+  /// disclosed() whenever the channel only loses or reorders frames.
   std::size_t queries() const { return queries_; }
 
  private:
@@ -97,6 +98,7 @@ class WireParityClient final : public ParityOracle {
   std::function<void()> pump_;
   WireTraffic traffic_;
   std::size_t queries_ = 0;
+  std::optional<ParityQuery> last_query_;
 };
 
 }  // namespace qkd::proto

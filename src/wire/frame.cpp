@@ -14,7 +14,6 @@ bool packet_type_known(std::uint8_t raw) {
     case PacketType::kVerifyHash:
     case PacketType::kPaParams:
     case PacketType::kAbort:
-    case PacketType::kKeyDigest:
     case PacketType::kKmsRegister:
     case PacketType::kKmsRegisterReply:
     case PacketType::kKmsGetKey:
@@ -43,7 +42,6 @@ const char* packet_type_name(PacketType type) {
     case PacketType::kVerifyHash: return "verify-hash";
     case PacketType::kPaParams: return "pa-params";
     case PacketType::kAbort: return "abort";
-    case PacketType::kKeyDigest: return "key-digest";
     case PacketType::kKmsRegister: return "kms-register";
     case PacketType::kKmsRegisterReply: return "kms-register-reply";
     case PacketType::kKmsGetKey: return "kms-get-key";

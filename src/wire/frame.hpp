@@ -47,7 +47,7 @@ enum class PacketType : std::uint8_t {
   kVerifyHash = 0x08,     // either direction: hash of the corrected string
   kPaParams = 0x09,       // Alice -> Bob: multiplier / poly / addend / m
   kAbort = 0x0A,          // either direction: batch rejected, with reason
-  kKeyDigest = 0x0B,      // either direction: digest of the distilled key
+  // 0x0B is retired (it carried a digest of the distilled key).
   // KMS API (src/wire/etsi.hpp).
   kKmsRegister = 0x20,
   kKmsRegisterReply = 0x21,

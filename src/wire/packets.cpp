@@ -295,26 +295,6 @@ Result<AbortPacket> AbortPacket::decode(const Bytes& payload) {
   });
 }
 
-// ---- KeyDigest -------------------------------------------------------------
-
-Bytes KeyDigest::encode() const {
-  Bytes out;
-  put_varint(out, frame_id);
-  put_varint(out, key_bits);
-  put_bytes(out, digest);
-  return out;
-}
-
-Result<KeyDigest> KeyDigest::decode(const Bytes& payload) {
-  return parse_payload<KeyDigest>(payload, [](ByteReader& reader) {
-    KeyDigest packet;
-    packet.frame_id = reader.varint();
-    packet.key_bits = reader.varint();
-    packet.digest = reader.bytes(20);
-    return packet;
-  });
-}
-
 // ---- Whole-packet codec ----------------------------------------------------
 
 namespace {
@@ -351,8 +331,6 @@ Result<DistillationPacket> decode_packet(const Frame& frame) {
       return lift(PaParamsPacket::decode(frame.payload));
     case PacketType::kAbort:
       return lift(AbortPacket::decode(frame.payload));
-    case PacketType::kKeyDigest:
-      return lift(KeyDigest::decode(frame.payload));
     default:
       return Result<DistillationPacket>::failure(WireError::kMalformedPayload);
   }

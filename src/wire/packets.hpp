@@ -7,8 +7,10 @@
 // Codec conventions (shared with src/wire/etsi.hpp):
 //  * integers big-endian via put_u*/ByteReader; counts as LEB128 varints;
 //  * dense bit strings as varint bit-count + packed bytes (LSB first);
-//  * sparse bit strings (a Qframe's detected-slot mask at ~1% density) as
-//    varint bit-count + varint set-count + delta-encoded set positions;
+//  * sparse bit strings (a Qframe's detected-slot mask at ~0.3% density) as
+//    varint bit-count + varint set-count + delta-encoded set positions —
+//    the run-length encoding the paper's Appendix asks of sift messages,
+//    each delta being the run of "no detection" slots before a click;
 //  * decode is strict: short payloads, impossible counts, nonzero padding
 //    bits and trailing bytes all return WireError::kMalformedPayload.
 #pragma once
@@ -30,7 +32,9 @@ void put_bits_dense(Bytes& out, const qkd::BitVector& bits);
 qkd::BitVector get_bits_dense(ByteReader& reader);  // throws on malformed
 
 /// varint bit-count + varint popcount + varint position deltas (first
-/// absolute, then gaps-1). Compact for sparse masks like detected slots.
+/// absolute, then gaps-1, i.e. the zero-run lengths). Compact for sparse
+/// masks like detected slots: 2^20 slots at 0.3% take ~5.3 KB, ~25x below
+/// the raw bitmap (bench E9).
 void put_bits_sparse(Bytes& out, const qkd::BitVector& bits);
 qkd::BitVector get_bits_sparse(ByteReader& reader);  // throws on malformed
 
@@ -165,25 +169,12 @@ struct AbortPacket {
   bool operator==(const AbortPacket&) const = default;
 };
 
-/// Digest of the batch's distilled key — the end-to-end "byte-identical on
-/// both sides" check of the two-process integration runs.
-struct KeyDigest {
-  static constexpr PacketType kType = PacketType::kKeyDigest;
-  std::uint64_t frame_id = 0;
-  std::uint64_t key_bits = 0;
-  Bytes digest;  // SHA-1, 20 bytes
-
-  Bytes encode() const;
-  static Result<KeyDigest> decode(const Bytes& payload);
-  bool operator==(const KeyDigest&) const = default;
-};
-
 // ---- Whole-packet codec ----------------------------------------------------
 
 using DistillationPacket =
     std::variant<QframeFeed, SiftAnnounce, SiftDecision, SampleReveal,
                  ParityRequest, ParityResponse, EcSummary, VerifyHash,
-                 PaParamsPacket, AbortPacket, KeyDigest>;
+                 PaParamsPacket, AbortPacket>;
 
 /// Encodes payload + frame header in one step.
 template <typename Packet>

@@ -56,12 +56,13 @@ TEST(IsIrreducible, SmallPolynomials) {
 }
 
 TEST(IrreduciblePoly, ServesAllStackDegrees) {
-  // Privacy amplification rounds n up to a multiple of 32 (paper, Sec. 5);
-  // these are the degrees the QKD stack exercises. Every returned polynomial
-  // must pass the irreducibility test — this also validates the built-in
-  // table entries since wrong hints would be replaced by searched values.
+  // Privacy amplification rounds n up to a multiple of 32 (paper, Sec. 5)
+  // and then up the PA width ladder; these are the degrees the QKD stack
+  // and the tests exercise, the whole ladder included, and together they
+  // are the whole built-in table. The run-time path trusts the table, so
+  // this is where each entry is proven irreducible, once.
   for (unsigned n : {32u, 64u, 96u, 128u, 160u, 192u, 224u, 256u, 384u, 512u,
-                     1024u, 2048u}) {
+                     768u, 1024u, 1536u, 2048u, 3072u, 4096u}) {
     const SparsePoly p = irreducible_poly(n);
     EXPECT_EQ(p.degree(), n);
     EXPECT_LE(p.exponents.size(), 5u) << "not low-weight for n=" << n;
@@ -72,6 +73,11 @@ TEST(IrreduciblePoly, ServesAllStackDegrees) {
 TEST(IrreduciblePoly, RejectsTrivialDegrees) {
   EXPECT_THROW(irreducible_poly(0), std::invalid_argument);
   EXPECT_THROW(irreducible_poly(1), std::invalid_argument);
+}
+
+TEST(IrreduciblePoly, OffTableWidthIsATypedError) {
+  EXPECT_THROW(irreducible_poly(2801), UnsupportedFieldWidth);
+  EXPECT_THROW(Gf2Field(33), UnsupportedFieldWidth);
 }
 
 TEST(Gf2Field, MultiplicativeIdentityAndZero) {

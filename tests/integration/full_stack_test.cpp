@@ -116,9 +116,9 @@ TEST(FullStack, EntangledFramesFlowThroughTheSameSifting) {
   // compatible with the protocol stack's sifting stage.
   qkd::optics::EntangledLink link(qkd::optics::EntangledParams{}, 6);
   const auto frame = link.run_frame(500000);
-  const SiftMessage msg = make_sift_message(1, frame.bob);
+  const qkd::wire::SiftAnnounce msg = make_sift_message(1, frame.bob);
   const AliceSiftResult alice = alice_sift(frame.alice, msg);
-  const SiftOutcome bob = bob_apply_response(frame.bob, msg, alice.response);
+  const SiftOutcome bob = bob_apply_response(frame.bob, msg, alice.decision);
   ASSERT_GT(alice.outcome.bits.size(), 100u);
   EXPECT_EQ(alice.outcome.bits.size(), bob.bits.size());
   const double qber =
@@ -132,10 +132,10 @@ TEST(FullStack, EntangledErrorsCorrectAndDistill) {
   // + privacy amplification: the full distillation path for link type #2.
   qkd::optics::EntangledLink link(qkd::optics::EntangledParams{}, 7);
   const auto frame = link.run_frame(1 << 20);
-  const SiftMessage msg = make_sift_message(1, frame.bob);
+  const qkd::wire::SiftAnnounce msg = make_sift_message(1, frame.bob);
   const AliceSiftResult alice_sifted = alice_sift(frame.alice, msg);
   SiftOutcome bob_sifted = bob_apply_response(frame.bob, msg,
-                                              alice_sifted.response);
+                                              alice_sifted.decision);
 
   qkd::BitVector alice_bits = alice_sifted.outcome.bits;
   qkd::BitVector bob_bits = bob_sifted.bits;
@@ -159,7 +159,8 @@ TEST(FullStack, EntangledErrorsCorrectAndDistill) {
   const std::size_t m = static_cast<std::size_t>(entropy.distillable_bits);
   // Chunk like the engine does if needed (entangled batches are small).
   ASSERT_LE(alice_bits.size(), pa_max_block_bits());
-  const PaParams pa = make_pa_params(alice_bits.size(), m, drbg);
+  const qkd::wire::PaParamsPacket pa =
+      make_pa_params(alice_bits.size(), m, drbg);
   EXPECT_EQ(privacy_amplify(alice_bits, pa), privacy_amplify(bob_bits, pa));
 }
 

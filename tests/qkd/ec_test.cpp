@@ -18,17 +18,19 @@ TEST(ParityQuery, SerializationRoundTrips) {
   q.seed = 0xdeadbeef;
   q.begin = 17;
   q.end = 244;
-  EXPECT_EQ(ParityQuery::deserialize(q.serialize()), q);
+  const auto back = wire::ParityRequest::decode(q.to_request().encode());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(ParityQuery::from_request(back.value), q);
 }
 
 TEST(ParityQuery, DeserializeRejectsGarbage) {
-  EXPECT_THROW(ParityQuery::deserialize(Bytes{9}), std::invalid_argument);
+  EXPECT_FALSE(wire::ParityRequest::decode(Bytes{9}).ok());
   Bytes bad_kind;
   put_u8(bad_kind, 7);
   put_u32(bad_kind, 0);
   put_u32(bad_kind, 0);
   put_u32(bad_kind, 0);
-  EXPECT_THROW(ParityQuery::deserialize(bad_kind), std::invalid_argument);
+  EXPECT_FALSE(wire::ParityRequest::decode(bad_kind).ok());
 }
 
 TEST(SubsetMask, DeterministicAndSeedSensitive) {

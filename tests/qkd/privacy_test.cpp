@@ -18,31 +18,42 @@ TEST(PaParams, RoundUpTo32) {
 
 TEST(PaParams, MakeChoosesAnnouncedShape) {
   qkd::crypto::Drbg drbg(1u);
-  const PaParams p = make_pa_params(1000, 700, drbg);
+  const wire::PaParamsPacket p = make_pa_params(1000, 700, drbg);
   EXPECT_EQ(p.n, 1024u);
   EXPECT_EQ(p.m, 700u);
-  EXPECT_EQ(p.modulus.degree(), 1024u);
+  ASSERT_FALSE(p.modulus_exponents.empty());
+  EXPECT_EQ(p.modulus_exponents.front(), 1024u);
   EXPECT_EQ(p.multiplier.size(), 1024u);
   EXPECT_EQ(p.addend.size(), 700u);
 }
 
 TEST(PaParams, SerializationRoundTrips) {
   qkd::crypto::Drbg drbg(2u);
-  const PaParams p = make_pa_params(500, 300, drbg);
-  const PaParams back = PaParams::deserialize(p.serialize());
-  EXPECT_EQ(back.n, p.n);
-  EXPECT_EQ(back.m, p.m);
-  EXPECT_EQ(back.modulus, p.modulus);
-  EXPECT_EQ(back.multiplier, p.multiplier);
-  EXPECT_EQ(back.addend, p.addend);
+  const wire::PaParamsPacket p = make_pa_params(500, 300, drbg);
+  const auto back = wire::PaParamsPacket::decode(p.encode());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value.n, p.n);
+  EXPECT_EQ(back.value.m, p.m);
+  EXPECT_EQ(back.value.modulus_exponents, p.modulus_exponents);
+  EXPECT_EQ(back.value.multiplier, p.multiplier);
+  EXPECT_EQ(back.value.addend, p.addend);
 }
 
 TEST(PaParams, DeserializeRejectsGarbage) {
-  EXPECT_THROW(PaParams::deserialize(Bytes{1, 2}), std::invalid_argument);
+  EXPECT_FALSE(wire::PaParamsPacket::decode(Bytes{1, 2}).ok());
   qkd::crypto::Drbg drbg(3u);
-  Bytes wire = make_pa_params(100, 50, drbg).serialize();
-  wire[0] ^= 0xff;  // corrupt n
-  EXPECT_THROW(PaParams::deserialize(wire), std::invalid_argument);
+  Bytes encoded = make_pa_params(100, 50, drbg).encode();
+  encoded[0] ^= 0xff;  // corrupt n
+  EXPECT_FALSE(wire::PaParamsPacket::decode(encoded).ok());
+}
+
+TEST(PaParams, EveryLadderWidthHasATabledPolynomial) {
+  // The PA ladder never asks the crypto layer for a width off its table.
+  qkd::crypto::Drbg drbg(12u);
+  for (std::size_t input = 1; input <= pa_max_block_bits(); input += 31) {
+    const wire::PaParamsPacket p = make_pa_params(input, 1, drbg);
+    EXPECT_EQ(p.modulus_exponents.front(), p.n) << input;
+  }
 }
 
 TEST(PaParams, RejectsExpansion) {
@@ -56,7 +67,7 @@ TEST(PrivacyAmplify, IdenticalInputsYieldIdenticalOutputs) {
   qkd::crypto::Drbg drbg(5u);
   for (std::size_t n : {33u, 500u, 1000u, 4000u}) {
     const auto input = rng.next_bits(n);
-    const PaParams p = make_pa_params(n, n / 2, drbg);
+    const wire::PaParamsPacket p = make_pa_params(n, n / 2, drbg);
     EXPECT_EQ(privacy_amplify(input, p), privacy_amplify(input, p));
   }
 }
@@ -65,7 +76,7 @@ TEST(PrivacyAmplify, OutputHasRequestedLength) {
   QKD_SEEDED_RNG(rng, 6);
   qkd::crypto::Drbg drbg(6u);
   const auto input = rng.next_bits(777);
-  const PaParams p = make_pa_params(777, 123, drbg);
+  const wire::PaParamsPacket p = make_pa_params(777, 123, drbg);
   EXPECT_EQ(privacy_amplify(input, p).size(), 123u);
 }
 
@@ -78,7 +89,7 @@ TEST(PrivacyAmplify, SingleBitInputDifferenceAvalanche) {
   double total_flips = 0;
   const int trials = 20;
   for (int t = 0; t < trials; ++t) {
-    const PaParams p = make_pa_params(n, m, drbg);
+    const wire::PaParamsPacket p = make_pa_params(n, m, drbg);
     const auto a = rng.next_bits(n);
     auto b = a;
     b.flip(rng.next_below(n));
@@ -94,8 +105,8 @@ TEST(PrivacyAmplify, DifferentMultipliersDecorrelateOutputs) {
   QKD_SEEDED_RNG(rng, 8);
   qkd::crypto::Drbg drbg(8u);
   const auto input = rng.next_bits(512);
-  const PaParams p1 = make_pa_params(512, 256, drbg);
-  const PaParams p2 = make_pa_params(512, 256, drbg);
+  const wire::PaParamsPacket p1 = make_pa_params(512, 256, drbg);
+  const wire::PaParamsPacket p2 = make_pa_params(512, 256, drbg);
   const auto o1 = privacy_amplify(input, p1);
   const auto o2 = privacy_amplify(input, p2);
   const double flips = static_cast<double>(o1.hamming_distance(o2));
@@ -107,7 +118,7 @@ TEST(PrivacyAmplify, IsLinearOverGf2) {
   QKD_SEEDED_RNG(rng, 9);
   qkd::crypto::Drbg drbg(9u);
   const std::size_t n = 256, m = 100;
-  const PaParams p = make_pa_params(n, m, drbg);
+  const wire::PaParamsPacket p = make_pa_params(n, m, drbg);
   const auto x = rng.next_bits(n);
   const auto y = rng.next_bits(n);
   const auto zero = qkd::BitVector(n);
@@ -119,7 +130,8 @@ TEST(PrivacyAmplify, IsLinearOverGf2) {
 
 TEST(PrivacyAmplify, ShortInputIsZeroPaddedToFieldWidth) {
   qkd::crypto::Drbg drbg(10u);
-  const PaParams p = make_pa_params(40, 20, drbg);  // field width 64
+  // Field width 64.
+  const wire::PaParamsPacket p = make_pa_params(40, 20, drbg);
   qkd::BitVector short_input = qkd::BitVector::from_string("101");
   EXPECT_NO_THROW(privacy_amplify(short_input, p));
   qkd::BitVector wide_input(p.n + 1);
@@ -138,7 +150,7 @@ TEST(PrivacyAmplify, CollisionRateIsUniversal) {
   int collisions = 0;
   const int trials = 2000;
   for (int t = 0; t < trials; ++t) {
-    const PaParams p = make_pa_params(n, 8, drbg);
+    const wire::PaParamsPacket p = make_pa_params(n, 8, drbg);
     collisions += privacy_amplify(x, p) == privacy_amplify(y, p);
   }
   EXPECT_LT(collisions, 30);  // mean ~7.8

@@ -19,40 +19,41 @@ qkd::optics::FrameResult small_frame(std::uint64_t seed,
 
 TEST(Sifting, MessageSerializationRoundTrips) {
   const auto frame = small_frame(1);
-  const SiftMessage msg = make_sift_message(42, frame.bob);
-  const SiftMessage back = SiftMessage::deserialize(msg.serialize());
-  EXPECT_EQ(back.frame_id, 42u);
-  EXPECT_EQ(back.detected, msg.detected);
-  EXPECT_EQ(back.bob_bases, msg.bob_bases);
+  const wire::SiftAnnounce msg = make_sift_message(42, frame.bob);
+  const auto back = wire::SiftAnnounce::decode(msg.encode());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value.frame_id, 42u);
+  EXPECT_EQ(back.value.detected, msg.detected);
+  EXPECT_EQ(back.value.bob_bases, msg.bob_bases);
 }
 
 TEST(Sifting, ResponseSerializationRoundTrips) {
-  SiftResponse r;
+  wire::SiftDecision r;
   r.frame_id = 7;
   r.keep = qkd::BitVector::from_string("1011001");
-  const SiftResponse back = SiftResponse::deserialize(r.serialize());
-  EXPECT_EQ(back.frame_id, 7u);
-  EXPECT_EQ(back.keep, r.keep);
+  const auto back = wire::SiftDecision::decode(r.encode());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value.frame_id, 7u);
+  EXPECT_EQ(back.value.keep, r.keep);
 }
 
 TEST(Sifting, DeserializeRejectsGarbage) {
-  EXPECT_THROW(SiftMessage::deserialize(Bytes{1, 2, 3}),
-               std::invalid_argument);
-  EXPECT_THROW(SiftResponse::deserialize(Bytes{}), std::invalid_argument);
+  EXPECT_FALSE(wire::SiftAnnounce::decode(Bytes{1, 2, 3}).ok());
+  EXPECT_FALSE(wire::SiftDecision::decode(Bytes{}).ok());
 }
 
 TEST(Sifting, BothSidesAgreeOnSlotIndices) {
   const auto frame = small_frame(2);
-  const SiftMessage msg = make_sift_message(0, frame.bob);
+  const wire::SiftAnnounce msg = make_sift_message(0, frame.bob);
   const AliceSiftResult alice = alice_sift(frame.alice, msg);
-  const SiftOutcome bob = bob_apply_response(frame.bob, msg, alice.response);
+  const SiftOutcome bob = bob_apply_response(frame.bob, msg, alice.decision);
   EXPECT_EQ(alice.outcome.slot_indices, bob.slot_indices);
   EXPECT_EQ(alice.outcome.bits.size(), bob.bits.size());
 }
 
 TEST(Sifting, KeepsOnlyMatchingBasisDetections) {
   const auto frame = small_frame(3);
-  const SiftMessage msg = make_sift_message(0, frame.bob);
+  const wire::SiftAnnounce msg = make_sift_message(0, frame.bob);
   const AliceSiftResult alice = alice_sift(frame.alice, msg);
   for (std::uint32_t slot : alice.outcome.slot_indices) {
     EXPECT_TRUE(frame.bob.detected.get(slot));
@@ -62,7 +63,7 @@ TEST(Sifting, KeepsOnlyMatchingBasisDetections) {
 
 TEST(Sifting, SiftedFractionIsHalfOfDetections) {
   const auto frame = small_frame(4, 500000);
-  const SiftMessage msg = make_sift_message(0, frame.bob);
+  const wire::SiftAnnounce msg = make_sift_message(0, frame.bob);
   const AliceSiftResult alice = alice_sift(frame.alice, msg);
   const double detections =
       static_cast<double>(frame.bob.detected.popcount());
@@ -75,9 +76,9 @@ TEST(Sifting, SiftedBitsMostlyAgree) {
   // At the paper's operating point the sifted strings differ only by the
   // 6-8 % QBER.
   const auto frame = small_frame(5, 500000);
-  const SiftMessage msg = make_sift_message(0, frame.bob);
+  const wire::SiftAnnounce msg = make_sift_message(0, frame.bob);
   const AliceSiftResult alice = alice_sift(frame.alice, msg);
-  const SiftOutcome bob = bob_apply_response(frame.bob, msg, alice.response);
+  const SiftOutcome bob = bob_apply_response(frame.bob, msg, alice.decision);
   ASSERT_GT(alice.outcome.bits.size(), 100u);
   const double qber =
       static_cast<double>(alice.outcome.bits.hamming_distance(bob.bits)) /
@@ -88,19 +89,19 @@ TEST(Sifting, SiftedBitsMostlyAgree) {
 
 TEST(Sifting, AliceRejectsWrongFrameSize) {
   const auto frame = small_frame(6, 10000);
-  SiftMessage msg = make_sift_message(0, frame.bob);
+  wire::SiftAnnounce msg = make_sift_message(0, frame.bob);
   msg.detected.resize(5000);
   EXPECT_THROW(alice_sift(frame.alice, msg), std::invalid_argument);
 }
 
 TEST(Sifting, BobRejectsMismatchedResponse) {
   const auto frame = small_frame(7, 10000);
-  const SiftMessage msg = make_sift_message(3, frame.bob);
-  SiftResponse bad;
+  const wire::SiftAnnounce msg = make_sift_message(3, frame.bob);
+  wire::SiftDecision bad;
   bad.frame_id = 3;
   bad.keep = qkd::BitVector(msg.bob_bases.size() + 1);
   EXPECT_THROW(bob_apply_response(frame.bob, msg, bad), std::invalid_argument);
-  SiftResponse wrong_frame;
+  wire::SiftDecision wrong_frame;
   wrong_frame.frame_id = 4;
   wrong_frame.keep = qkd::BitVector(msg.bob_bases.size());
   EXPECT_THROW(bob_apply_response(frame.bob, msg, wrong_frame),
@@ -109,17 +110,17 @@ TEST(Sifting, BobRejectsMismatchedResponse) {
 
 TEST(Sifting, DeserializeRejectsInconsistentBasisCount) {
   const auto frame = small_frame(8, 10000);
-  SiftMessage msg = make_sift_message(0, frame.bob);
+  wire::SiftAnnounce msg = make_sift_message(0, frame.bob);
   msg.bob_bases.push_back(true);  // one basis too many
-  EXPECT_THROW(SiftMessage::deserialize(msg.serialize()),
-               std::invalid_argument);
+  EXPECT_EQ(wire::SiftAnnounce::decode(msg.encode()).error,
+            wire::WireError::kMalformedPayload);
 }
 
 // ---- Bitwise reference: the slot-by-slot loops the word scans replaced. --
 
-SiftMessage reference_sift_message(std::uint64_t frame_id,
-                                   const qkd::optics::DetectionRecord& bob) {
-  SiftMessage msg;
+wire::SiftAnnounce reference_sift_message(
+    std::uint64_t frame_id, const qkd::optics::DetectionRecord& bob) {
+  wire::SiftAnnounce msg;
   msg.frame_id = frame_id;
   msg.detected = bob.detected;
   for (std::size_t i = 0; i < bob.size(); ++i)
@@ -128,14 +129,14 @@ SiftMessage reference_sift_message(std::uint64_t frame_id,
 }
 
 AliceSiftResult reference_alice_sift(const qkd::optics::PulseTrainRecord& alice,
-                                     const SiftMessage& msg) {
+                                     const wire::SiftAnnounce& msg) {
   AliceSiftResult result;
-  result.response.frame_id = msg.frame_id;
+  result.decision.frame_id = msg.frame_id;
   std::size_t det_index = 0;
   for (std::size_t slot = 0; slot < alice.size(); ++slot) {
     if (!msg.detected.get(slot)) continue;
     const bool match = msg.bob_bases.get(det_index) == alice.bases.get(slot);
-    result.response.keep.push_back(match);
+    result.decision.keep.push_back(match);
     if (match) {
       result.outcome.bits.push_back(alice.values.get(slot));
       result.outcome.slot_indices.push_back(static_cast<std::uint32_t>(slot));
@@ -146,7 +147,7 @@ AliceSiftResult reference_alice_sift(const qkd::optics::PulseTrainRecord& alice,
 }
 
 SiftOutcome reference_bob_apply(const qkd::optics::DetectionRecord& bob,
-                                const SiftResponse& response) {
+                                const wire::SiftDecision& response) {
   SiftOutcome outcome;
   std::size_t det_index = 0;
   for (std::size_t slot = 0; slot < bob.size(); ++slot) {
@@ -198,21 +199,21 @@ TEST(Sifting, WordScansMatchTheBitwiseReference) {
 
   for (const SiftInput& in : inputs) {
     SCOPED_TRACE(in.name);
-    const SiftMessage msg = make_sift_message(5, in.bob);
-    const SiftMessage ref_msg = reference_sift_message(5, in.bob);
+    const wire::SiftAnnounce msg = make_sift_message(5, in.bob);
+    const wire::SiftAnnounce ref_msg = reference_sift_message(5, in.bob);
     EXPECT_EQ(msg.frame_id, ref_msg.frame_id);
     EXPECT_EQ(msg.detected, ref_msg.detected);
     EXPECT_EQ(msg.bob_bases, ref_msg.bob_bases);
 
     const AliceSiftResult alice = alice_sift(in.alice, msg);
     const AliceSiftResult ref_alice = reference_alice_sift(in.alice, ref_msg);
-    EXPECT_EQ(alice.response.frame_id, ref_alice.response.frame_id);
-    EXPECT_EQ(alice.response.keep, ref_alice.response.keep);
+    EXPECT_EQ(alice.decision.frame_id, ref_alice.decision.frame_id);
+    EXPECT_EQ(alice.decision.keep, ref_alice.decision.keep);
     EXPECT_EQ(alice.outcome.bits, ref_alice.outcome.bits);
     EXPECT_EQ(alice.outcome.slot_indices, ref_alice.outcome.slot_indices);
 
-    const SiftOutcome bob = bob_apply_response(in.bob, msg, alice.response);
-    const SiftOutcome ref_bob = reference_bob_apply(in.bob, ref_alice.response);
+    const SiftOutcome bob = bob_apply_response(in.bob, msg, alice.decision);
+    const SiftOutcome ref_bob = reference_bob_apply(in.bob, ref_alice.decision);
     EXPECT_EQ(bob.bits, ref_bob.bits);
     EXPECT_EQ(bob.slot_indices, ref_bob.slot_indices);
   }
@@ -221,8 +222,8 @@ TEST(Sifting, WordScansMatchTheBitwiseReference) {
 TEST(Sifting, ShortRecordsAreRejectedNotOverrun) {
   QKD_SEEDED_RNG(rng, 4);
   SiftInput in = random_input("short", rng, 1000, 3);
-  SiftMessage msg = make_sift_message(0, in.bob);
-  SiftMessage missing_basis = msg;
+  wire::SiftAnnounce msg = make_sift_message(0, in.bob);
+  wire::SiftAnnounce missing_basis = msg;
   missing_basis.bob_bases.resize(msg.bob_bases.size() - 1);
   EXPECT_THROW(alice_sift(in.alice, missing_basis), std::out_of_range);
 
@@ -234,7 +235,7 @@ TEST(Sifting, ShortRecordsAreRejectedNotOverrun) {
   qkd::optics::DetectionRecord extra_click = in.bob;
   for (std::size_t i = 0; i < extra_click.size(); ++i)
     extra_click.detected.set(i, true);  // more clicks than `keep` covers
-  EXPECT_THROW(bob_apply_response(extra_click, msg, alice.response),
+  EXPECT_THROW(bob_apply_response(extra_click, msg, alice.decision),
                std::out_of_range);
 }
 

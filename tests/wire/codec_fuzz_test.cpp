@@ -23,7 +23,7 @@ Bytes random_bytes(qkd::Rng& rng, std::size_t n) {
 
 /// One random distillation packet, already framed.
 Bytes random_distillation_frame(qkd::Rng& rng) {
-  switch (rng.next_below(11)) {
+  switch (rng.next_below(10)) {
     case 0: {
       QframeFeed p;
       p.frame_id = rng.next_u64();
@@ -91,16 +91,9 @@ Bytes random_distillation_frame(qkd::Rng& rng) {
       p.addend = rng.next_bits(p.m);
       return to_frame(p);
     }
-    case 9: {
+    default: {
       AbortPacket p;
       p.reason = static_cast<std::uint8_t>(rng.next_below(8));
-      return to_frame(p);
-    }
-    default: {
-      KeyDigest p;
-      p.frame_id = rng.next_u64();
-      p.key_bits = rng.next_u64();
-      p.digest = random_bytes(rng, 20);
       return to_frame(p);
     }
   }

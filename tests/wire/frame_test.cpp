@@ -173,7 +173,7 @@ TEST(Frame, EveryNamedTypeIsKnownAndNamed) {
         PacketType::kSiftDecision, PacketType::kSampleReveal,
         PacketType::kParityRequest, PacketType::kParityResponse,
         PacketType::kEcSummary, PacketType::kVerifyHash, PacketType::kPaParams,
-        PacketType::kAbort, PacketType::kKeyDigest, PacketType::kKmsRegister,
+        PacketType::kAbort, PacketType::kKmsRegister,
         PacketType::kKmsRegisterReply, PacketType::kKmsGetKey,
         PacketType::kKmsGrant, PacketType::kKmsGetKeyWithId,
         PacketType::kKmsKeyWithIdReply, PacketType::kKmsStatus,
@@ -182,6 +182,7 @@ TEST(Frame, EveryNamedTypeIsKnownAndNamed) {
     EXPECT_TRUE(packet_type_known(static_cast<std::uint8_t>(type)));
     EXPECT_STRNE(packet_type_name(type), "?");
   }
+  EXPECT_FALSE(packet_type_known(0x0B));  // retired, never reassigned
 }
 
 }  // namespace

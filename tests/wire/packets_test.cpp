@@ -104,16 +104,10 @@ TEST(Packets, PaParamsRoundTrips) {
   EXPECT_EQ(round_trip(packet), packet);
 }
 
-TEST(Packets, AbortAndKeyDigestRoundTrip) {
+TEST(Packets, AbortRoundTrips) {
   AbortPacket abort_packet;
   abort_packet.reason = 4;
   EXPECT_EQ(round_trip(abort_packet), abort_packet);
-
-  KeyDigest digest;
-  digest.frame_id = 9;
-  digest.key_bits = 2912;
-  digest.digest.assign(20, 0x5C);
-  EXPECT_EQ(round_trip(digest), digest);
 }
 
 TEST(Packets, EmptyBitVectorsSurvive) {
