@@ -102,7 +102,6 @@ void print_producer_table() {
                       "producer delivery: engine -> KeySupply -> consumer");
   qkd::proto::QkdLinkConfig proto;
   proto.frame_slots = 1 << 19;
-  proto.auth_replenish_bits = 64;
 
   // Single link: one QkdLinkSession producing into its own supply.
   {

@@ -110,8 +110,12 @@ BitVector BitVector::slice(std::size_t begin, std::size_t len) const {
 }
 
 std::size_t BitVector::popcount() const {
+  // Zero words are skipped: a Qframe's click bitmap is ~80% zero words,
+  // and without a hardware popcount instruction each count costs a dozen
+  // operations.
   std::size_t n = 0;
-  for (std::uint64_t w : words_) n += static_cast<std::size_t>(std::popcount(w));
+  for (std::uint64_t w : words_)
+    if (w != 0) n += static_cast<std::size_t>(std::popcount(w));
   return n;
 }
 

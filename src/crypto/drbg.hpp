@@ -29,6 +29,9 @@ class Drbg {
   void reseed(std::span<const std::uint8_t> entropy);
 
  private:
+  /// Writes n_bytes of output and ratchets the state: one generate().
+  void fill(std::uint8_t* out, std::size_t n_bytes);
+
   Sha1::Digest state_{};
   std::uint64_t counter_ = 0;
 };

@@ -25,11 +25,13 @@ class Sha1 {
   void update(std::span<const std::uint8_t> data);
   Digest finish();
 
-  /// One-shot convenience.
+  /// One-shot convenience; inputs of up to 55 bytes take a single-block
+  /// path with no buffering.
   static Digest hash(std::span<const std::uint8_t> data);
 
  private:
   void process_block(const std::uint8_t* block);
+  Digest digest() const;  // the chaining state, big-endian
 
   std::array<std::uint32_t, 5> h_;
   std::array<std::uint8_t, 64> buffer_;

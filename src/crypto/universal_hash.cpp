@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "src/crypto/gf2n.hpp"
 
 namespace qkd::crypto {
 
@@ -22,29 +21,77 @@ qkd::BitVector toeplitz_hash(const qkd::BitVector& key,
   return tag;
 }
 
+namespace {
+
+/// x^64 = x^4 + x^3 + x + 1 in GF(2^64) (the field's table modulus).
+constexpr std::uint64_t kPolyTail = 0x1B;
+
+/// v * x in GF(2^64).
+constexpr std::uint64_t times_x(std::uint64_t v) {
+  return (v << 1) ^ ((v >> 63) != 0 ? kPolyTail : 0);
+}
+
+}  // namespace
+
+PolyHash64::PolyHash64(std::uint64_t key) {
+  // table_[i][j] = j * x^(4i) * key, so a product splits into one lookup
+  // per nibble of the other factor.
+  std::uint64_t power = key;  // key * x^(4i)
+  for (auto& row : table_) {
+    std::uint64_t bit = power;
+    for (unsigned b = 1; b < 16; b <<= 1) {
+      for (unsigned j = 0; j < b; ++j) row[b | j] = row[j] ^ bit;
+      bit = times_x(bit);
+    }
+    power = bit;  // four doublings past `power`: key * x^(4(i+1))
+  }
+}
+
+std::uint64_t PolyHash64::times_key(std::uint64_t x) const {
+  std::uint64_t product = 0;
+  for (const auto& row : table_) {
+    product ^= row[x & 15];
+    x >>= 4;
+  }
+  return product;
+}
+
+void PolyHash64::update(std::span<const std::uint8_t> data) {
+  std::size_t i = 0;
+  unsigned filled = static_cast<unsigned>(length_ % 8);
+  length_ += data.size();
+  // Finish a pending block byte by byte, then take whole blocks.
+  for (; filled != 0 && i < data.size(); ++i) {
+    partial_ |= static_cast<std::uint64_t>(data[i]) << (8 * filled);
+    if (++filled == 8) {
+      absorb(partial_);
+      partial_ = 0;
+      filled = 0;
+    }
+  }
+  for (; i + 8 <= data.size(); i += 8) {
+    std::uint64_t block = 0;
+    for (unsigned b = 0; b < 8; ++b)
+      block |= static_cast<std::uint64_t>(data[i + b]) << (8 * b);
+    absorb(block);
+  }
+  for (; i < data.size(); ++i, ++filled)
+    partial_ |= static_cast<std::uint64_t>(data[i]) << (8 * filled);
+}
+
+std::uint64_t PolyHash64::digest() const {
+  std::uint64_t acc = acc_;
+  // The zero-padded tail block, then the length block, which separates
+  // messages that differ only in trailing zero bytes.
+  if (length_ % 8 != 0) acc = times_key(acc) ^ partial_;
+  return times_key(acc) ^ length_;
+}
+
 std::uint64_t poly_hash64(std::uint64_t key,
                           std::span<const std::uint8_t> message) {
-  static const Gf2Field field(64);
-  const qkd::BitVector k = qkd::BitVector::from_uint64(key, 64);
-  qkd::BitVector acc(64);
-  // Horner evaluation over 8-byte chunks (zero-padded tail). The message
-  // length is mixed in as a final chunk so that messages differing only in
-  // trailing zero bytes hash differently.
-  std::size_t off = 0;
-  auto absorb = [&](std::uint64_t chunk) {
-    acc = field.multiply(acc, k);
-    acc ^= qkd::BitVector::from_uint64(chunk, 64);
-  };
-  while (off < message.size()) {
-    std::uint64_t chunk = 0;
-    const std::size_t n = std::min<std::size_t>(8, message.size() - off);
-    for (std::size_t i = 0; i < n; ++i)
-      chunk |= static_cast<std::uint64_t>(message[off + i]) << (8 * i);
-    absorb(chunk);
-    off += n;
-  }
-  absorb(static_cast<std::uint64_t>(message.size()));
-  return acc.to_uint64();
+  PolyHash64 hash(key);
+  hash.update(message);
+  return hash.digest();
 }
 
 WegmanCarterAuthenticator::WegmanCarterAuthenticator(

@@ -12,12 +12,17 @@
 //    tag the Toeplitz key itself is reusable (this is the standard
 //    "LFSR/Toeplitz + OTP" construction QKD systems deploy, and is what the
 //    WegmanCarterAuthenticator below consumes key bits for).
-//  * PolyHash — polynomial evaluation over GF(2^64); constant key size,
-//    eps = len/2^64; used for comparison in the authentication bench.
+//  * PolyHash64 — polynomial evaluation over GF(2^64); a constant 64-bit
+//    key and eps = blocks/2^64. It compresses a whole Qframe's
+//    conversation to one 64-bit digest, which the Toeplitz hash then tags
+//    (src/qkd/authentication.hpp), so the Toeplitz key never has to span
+//    the conversation itself.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "src/common/bitvector.hpp"
 #include "src/common/bytes.hpp"
@@ -29,10 +34,36 @@ namespace qkd::crypto {
 qkd::BitVector toeplitz_hash(const qkd::BitVector& key,
                              const qkd::BitVector& message, unsigned tag_bits);
 
-/// Polynomial-evaluation hash over GF(2^64): interprets the message as
-/// coefficients and evaluates at the 64-bit key point k, i.e.
-/// H(m) = m_1*k^t + ... + m_t*k (Horner), an eps-almost-XOR-universal family.
+/// Polynomial-evaluation hash over GF(2^64) (modulus x^64+x^4+x^3+x+1):
+/// the message, cut into 8-byte little-endian blocks m_1..m_t (the last
+/// zero-padded) and followed by its byte length L, is evaluated at the key
+/// point k by Horner's rule (acc <- acc*k ^ block, from acc = 0):
+/// H(m) = m_1*k^t + ... + m_t*k + L. Two distinct messages of at most t
+/// blocks differ in a nonzero polynomial of degree <= t, so they collide
+/// for at most t keys: the family is eps-almost-universal, eps = t/2^64.
 std::uint64_t poly_hash64(std::uint64_t key, std::span<const std::uint8_t> message);
+
+/// poly_hash64 in streaming form: update() takes the message in pieces of
+/// any size, and digest() equals poly_hash64(key, <everything so far>)
+/// without closing the stream. Multiplying by the fixed key goes through a
+/// 4-bit table built once per key (16 nibble positions x 16 values), so a
+/// block costs 16 lookups and no allocation.
+class PolyHash64 {
+ public:
+  explicit PolyHash64(std::uint64_t key);
+
+  void update(std::span<const std::uint8_t> data);
+  std::uint64_t digest() const;
+
+ private:
+  std::uint64_t times_key(std::uint64_t x) const;
+  void absorb(std::uint64_t block) { acc_ = times_key(acc_) ^ block; }
+
+  std::array<std::array<std::uint64_t, 16>, 16> table_{};
+  std::uint64_t acc_ = 0;
+  std::uint64_t partial_ = 0;  // bytes of the block not yet complete
+  std::uint64_t length_ = 0;   // bytes taken so far
+};
 
 /// A Wegman–Carter authenticator bound to a pool of one-time secret bits.
 ///

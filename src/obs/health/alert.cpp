@@ -16,6 +16,7 @@ const char* condition_kind(const AlertCondition& condition) {
     const char* operator()(const Absence&) const { return "absence"; }
     const char* operator()(const QuantileAbove&) const { return "quantile"; }
     const char* operator()(const SloBurnRate&) const { return "slo_burn_rate"; }
+    const char* operator()(const Depletion&) const { return "depletion"; }
   };
   return std::visit(Visitor{}, condition);
 }
@@ -82,6 +83,11 @@ void AlertEngine::add_rule(AlertRule rule) {
             "AlertEngine: SloBurnRate objective must be in (0, 1)");
       engine.track(c.good_metric, c.long_window);
       engine.track(c.total_metric, c.long_window);
+    }
+    void operator()(const Depletion& c) const {
+      if (c.window <= 0)
+        throw std::invalid_argument("AlertEngine: Depletion window <= 0");
+      engine.track(c.metric, c.window);
     }
   };
   std::visit(Visitor{*this}, rule.condition);
@@ -156,6 +162,12 @@ std::pair<bool, double> AlertEngine::evaluate_condition(
       const double long_burn = engine.burn_rate(c, c.long_window, now);
       return {short_burn > c.burn_threshold && long_burn > c.burn_threshold,
               short_burn};
+    }
+    std::pair<bool, double> operator()(const Depletion& c) const {
+      const auto it = engine.snapshot_.find(c.metric);
+      if (it == engine.snapshot_.end()) return {false, 0.0};
+      const auto delta = engine.window_delta(c.metric, c.window, now);
+      return {it->second < c.floor || (delta && *delta < 0.0), it->second};
     }
   };
   return std::visit(Visitor{*this, now}, condition);

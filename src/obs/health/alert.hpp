@@ -36,6 +36,9 @@
 //                watchdog flavor: "distillation stopped").
 //   QuantileAbove a live histogram quantile (any q, not just the exported
 //                p50/p99) compared against a bound.
+//   Depletion    a reservoir running dry: the level is below a floor, or
+//                it fell over the whole trailing window (a net drain,
+//                however slow, that a floor alone would see only late).
 //   SloBurnRate  multi-window burn rate over a good/total counter pair:
 //                burn = (bad fraction over window) / error budget, firing
 //                only when BOTH the short and the long window burn faster
@@ -113,8 +116,17 @@ struct SloBurnRate {
   double burn_threshold = 1.0;
 };
 
-using AlertCondition =
-    std::variant<Threshold, RateOfChange, Absence, QuantileAbove, SloBurnRate>;
+/// A gauge that must not run dry: true while its value is below `floor`,
+/// or lower than it was `window` ago (until a full window of history
+/// exists, only the floor counts). Reports the level.
+struct Depletion {
+  std::string metric;
+  double floor = 0.0;
+  qkd::SimTime window = 0;
+};
+
+using AlertCondition = std::variant<Threshold, RateOfChange, Absence,
+                                    QuantileAbove, SloBurnRate, Depletion>;
 
 /// Human-readable condition tag ("threshold", "rate_of_change", ...).
 const char* condition_kind(const AlertCondition& condition);

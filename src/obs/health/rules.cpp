@@ -70,6 +70,18 @@ AlertRule retransmission_storm(const std::string& retransmit_metric,
   return rule;
 }
 
+AlertRule auth_pad_drought(const std::string& pad_metric,
+                           const std::string& link, double low_water_bits,
+                           qkd::SimTime window, qkd::SimTime for_duration) {
+  AlertRule rule;
+  rule.name = "auth_pad_drought:" + link;
+  rule.summary = "authentication pads draining on link " + link;
+  rule.condition = Depletion{pad_metric, low_water_bits, window};
+  rule.for_duration = for_duration;
+  rule.labels = {{"severity", "critical"}, {"link", link}};
+  return rule;
+}
+
 AlertRule distillation_stalled(const std::string& transports_metric,
                                qkd::SimTime stale_after) {
   AlertRule rule;

@@ -58,6 +58,21 @@ AlertRule retransmission_storm(const std::string& retransmit_metric,
                                qkd::SimTime window = 10 * qkd::kSecond,
                                qkd::SimTime for_duration = 0);
 
+/// Authentication-pad drought on one QKD link: the Wegman-Carter pad level
+/// (`pad_metric`, QkdLinkSession's `<prefix>_auth_pad_bits`) fell below
+/// `low_water_bits` (the auth service's own low-water mark) or drained
+/// over a whole `window`, for `for_duration`. A healthy link holds its
+/// level (each accepted batch replenishes the two tags it spent); a
+/// sustained drain means tags are spent on batches that then fail (a
+/// tampered classical channel), the exhaustion DoS of Sec. 2 on its way.
+/// The debounce is longer than the window, so one failed batch does not
+/// page.
+AlertRule auth_pad_drought(const std::string& pad_metric,
+                           const std::string& link,
+                           double low_water_bits = 1024.0,
+                           qkd::SimTime window = 30 * qkd::kSecond,
+                           qkd::SimTime for_duration = 60 * qkd::kSecond);
+
 /// Distillation watchdog: the transports counter has not advanced for
 /// `stale_after` — key generation stopped entirely (fiber cut, engine
 /// wedge) even though nothing else alarmed.

@@ -93,6 +93,13 @@ EcStats bbn_cascade_correct(qkd::BitVector& bob_bits, ParityOracle& alice,
       }
       if (target == nullptr) break;
       round_had_mismatch = true;
+      // Honest parities lead every bisection to a real error, so at most n
+      // corrections; more means the answers contradict each other (altered
+      // in flight) and the loop would never settle.
+      if (stats.corrections >= bob_bits.size()) {
+        stats.converged = false;
+        return stats;
+      }
 
       const std::uint32_t fixed_pos = bisect_fix(bob_bits, alice, *target, stats);
 

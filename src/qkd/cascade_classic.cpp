@@ -128,6 +128,13 @@ EcStats classic_cascade_correct(qkd::BitVector& bob_bits, ParityOracle& alice,
       Pass& pass_ref = passes[wp];
       const bool ap = fetch_alice_parity(pass_ref, wb, alice, stats);
       if (ap == pass_ref.bob[wb]) continue;  // already healed by another fix
+      // Honest parities lead every bisection to a real error, so at most n
+      // corrections; more means the answers contradict each other (altered
+      // in flight) and the cascade would never drain.
+      if (stats.corrections >= n) {
+        stats.converged = false;
+        return stats;
+      }
 
       const std::uint32_t fixed = bisect_block(bob_bits, pass_ref, wb, alice, stats);
 

@@ -9,6 +9,11 @@
 
 namespace qkd::proto {
 
+AbortReason check_tag_pads(const DialogueSide& side) {
+  return side.auth.can_seal() ? AbortReason::kNone
+                              : AbortReason::kAuthExhausted;
+}
+
 AbortReason keep_sifted(DialogueSide& side, qkd::BitVector bits) {
   side.bits = std::move(bits);
   return side.bits.empty() ? AbortReason::kNoSiftedBits : AbortReason::kNone;
@@ -167,6 +172,17 @@ void amplify_chunk(DialogueSide& side, const PaChunk& chunk,
                    const wire::PaParamsPacket& params) {
   side.key.append(
       privacy_amplify(side.bits.slice(chunk.offset, chunk.bits), params));
+}
+
+std::optional<wire::TranscriptTag> seal_transcript(DialogueSide& side) {
+  return side.auth.seal(side.transcript, side.frame_id);
+}
+
+AbortReason check_transcript(DialogueSide& side,
+                             const wire::TranscriptTag& theirs) {
+  return side.auth.check(side.transcript, side.frame_id, theirs)
+             ? AbortReason::kNone
+             : AbortReason::kVerifyFailed;
 }
 
 void replenish_pads(DialogueSide& side) {

@@ -3,17 +3,22 @@
 // Every stage of the pipeline is a short conversation between Alice and
 // Bob. This header splits each stage into the steps ONE side takes between
 // messages: a step reads and writes only its own side's state (its bits,
-// its DRBG, its AuthenticationService) and returns the packet that side
-// sends next or the verdict it reaches. No step touches a transport. Two
-// callers move the packets:
+// its DRBG, its AuthenticationService, its Transcript) and returns the
+// packet that side sends next or the verdict it reaches. No step touches a
+// transport. Two callers move the packets, and log every packet a side
+// sends or accepts into that side's transcript:
 //  * PipelineStage::run (src/qkd/pipeline.cpp) calls both sides' steps in
 //    dialogue order inside one process and moves each packet with
 //    BatchContext::ship over the in-memory channel;
 //  * AlicePeer/BobPeer::run_batch (src/qkd/peer.cpp) call one side's steps
 //    and send/receive the packets over their own transport.
+// A side accepts a packet only if it decodes and, where the packet names
+// its batch, names this one (accepts()); the parity dialogue is logged by
+// its wire ends (src/qkd/wire_link.hpp).
 //
 // Dialogue order, per stage:
-//   sifting    Bob announces -> Alice decides -> Bob applies
+//   sifting    each side checks it has pad for the batch's tag;
+//              Bob announces -> Alice decides -> Bob applies
 //   sampling   each side reveals; Alice's reveal crosses first, then Bob's;
 //              each side judges the sampled QBER
 //   EC         Bob corrects over the parity dialogue, Alice answers it;
@@ -22,12 +27,14 @@
 //   entropy    each side estimates the distillable bits (local)
 //   PA         per chunk: Alice derives and announces the parameters ->
 //              Bob derives his own and cross-checks the announcement
-//   replenish  each side diverts the key's tail into its own pad pool
+//   replenish  Alice tags her transcript -> Bob checks it, tags his ->
+//              Alice checks it; then each side diverts the key's tail into
+//              its own pad pool. No key leaves a side whose check failed.
 //
-// Both endpoints seed their DRBG alike, and each side's steps draw exactly
-// what one shared stream would draw in this order (the sample positions,
-// the corrector seed, the PA parameters), so those agree on both sides
-// without ever crossing the wire.
+// Both endpoints seed each batch's DRBG alike, and each side's steps draw
+// exactly what one shared stream would draw in this order (the sample
+// positions, the corrector seed, the PA parameters), so those agree on
+// both sides without ever crossing the wire.
 #pragma once
 
 #include <cstdint>
@@ -46,10 +53,20 @@ namespace qkd::proto {
 /// One side's state through one batch (its DRBG and authentication
 /// service come from its DialogueEndpoint, src/qkd/engine.hpp).
 struct DialogueSide {
+  DialogueSide(const QkdLinkConfig& config, DialogueEndpoint& endpoint,
+               std::uint64_t frame_id)
+      : config(config),
+        drbg(endpoint.batch_drbg(frame_id)),
+        auth(endpoint.auth),
+        frame_id(frame_id),
+        transcript(endpoint.auth.open_transcript()) {}
+
   const QkdLinkConfig& config;
-  qkd::crypto::Drbg& drbg;
+  qkd::crypto::Drbg drbg;
   AuthenticationService& auth;
   std::uint64_t frame_id = 0;
+  // Every packet of the batch this side sent or accepted.
+  Transcript transcript;
 
   // Sifted, then cut down by sampling, then (Bob) corrected in place.
   qkd::BitVector bits;
@@ -64,7 +81,22 @@ struct DialogueSide {
   qkd::BitVector key;
 };
 
+/// Whether `side` accepts a decoded packet as part of its batch: a packet
+/// that carries a frame id must carry this batch's (a frame replayed from
+/// an earlier batch is refused at once; any other alteration the
+/// transcript tags catch).
+template <typename Packet>
+bool accepts(const DialogueSide& side, const Packet& packet) {
+  if constexpr (requires { packet.frame_id; })
+    return packet.frame_id == side.frame_id;
+  return true;
+}
+
 // ---- Sifting (the steps themselves are in src/qkd/sifting.hpp) ------------
+
+/// Either side, before the batch's first message: a batch whose transcript
+/// could not be tagged in both directions is not started.
+AbortReason check_tag_pads(const DialogueSide& side);
 
 /// Either side: keeps its sifted bits; nothing sifted rejects the batch.
 AbortReason keep_sifted(DialogueSide& side, qkd::BitVector bits);
@@ -141,8 +173,20 @@ void amplify_chunk(DialogueSide& side, const PaChunk& chunk,
 
 // ---- Authentication replenishment ------------------------------------------
 
-/// Either side: diverts the configured tail of its key into its own pad
-/// pool; side.key keeps the part delivered to consumers.
+/// Either side, after the last PA announcement: its Wegman-Carter tag over
+/// its transcript of the batch. nullopt (kAuthExhausted) when no pad is
+/// left.
+std::optional<wire::TranscriptTag> seal_transcript(DialogueSide& side);
+
+/// Either side: the peer's tag checked against this side's own transcript.
+/// A mismatch means the two sides did not see the same conversation
+/// (kVerifyFailed); the side must release nothing.
+AbortReason check_transcript(DialogueSide& side,
+                             const wire::TranscriptTag& theirs);
+
+/// Either side, once its check passed: diverts the configured tail of its
+/// key into its own pad pool; side.key keeps the part delivered to
+/// consumers.
 void replenish_pads(DialogueSide& side);
 
 }  // namespace qkd::proto

@@ -82,8 +82,10 @@ bool LocalParityOracle::parity(const ParityQuery& query) {
     cache.emplace_back(query.seed, std::move(expanded));
     members = &cache.back().second;
   }
+  // Counted only once answered: a range outside the string throws first.
+  const bool parity = parity_of_members(bits_, *members, query.begin, query.end);
   ++disclosed_;
-  return parity_of_members(bits_, *members, query.begin, query.end);
+  return parity;
 }
 
 }  // namespace qkd::proto

@@ -1,5 +1,6 @@
 #include "src/qkd/engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -48,9 +49,16 @@ const char* abort_reason_name(AbortReason reason) {
 
 DialogueEndpoint::DialogueEndpoint(const QkdLinkConfig& config,
                                    std::uint64_t seed, bool is_alice)
-    : drbg(seed ^ 0xD15711ULL),
+    : drbg_seed(seed ^ 0xD15711ULL),
       auth(config.auth, preposition_secret(config, seed),
            /*is_initiator=*/is_alice) {}
+
+qkd::crypto::Drbg DialogueEndpoint::batch_drbg(std::uint64_t frame_id) const {
+  Bytes seed;
+  put_u64(seed, drbg_seed);
+  put_u64(seed, frame_id);
+  return qkd::crypto::Drbg(seed);
+}
 
 QkdLinkSession::QkdLinkSession(QkdLinkConfig config, std::uint64_t seed)
     : config_(config),
@@ -65,9 +73,15 @@ QkdLinkSession::QkdLinkSession(QkdLinkConfig config, std::uint64_t seed)
     throw std::invalid_argument("QkdLinkSession: bad sample fraction");
   stage_wall_s_.assign(pipeline_.size(), 0.0);
   stage_bytes_.assign(pipeline_.size(), 0);
+  pad_bits_at_start_ = auth_pad_bits();
 }
 
 QkdLinkSession::~QkdLinkSession() = default;
+
+std::size_t QkdLinkSession::auth_pad_bits() const {
+  return std::min(alice_.auth.pad_bits_available(),
+                  bob_.auth.pad_bits_available());
+}
 
 void QkdLinkSession::set_pipeline(
     std::vector<std::unique_ptr<PipelineStage>> stages) {
@@ -88,6 +102,24 @@ void QkdLinkSession::bind_metrics(obs::MetricsRegistry& registry,
     // The paper's eavesdrop alarm in counter form: batches the protocol
     // itself abandoned for excessive QBER.
     out.counter(prefix + "_aborted_qber", totals_.aborted_qber());
+    // Every abort, by reason: why a batch failed is a metric, not only a
+    // span attribute of a traced run.
+    for (std::size_t r = 1; r < kAbortReasonCount; ++r) {
+      const auto reason = static_cast<AbortReason>(r);
+      out.counter(prefix + "_aborted{reason=\"" +
+                      abort_reason_name(reason) + "\"}",
+                  totals_.aborted(reason));
+    }
+    // The Wegman-Carter pads behind the transcript tags: their level, and
+    // how it moved per accepted batch (zero on a healthy link; negative
+    // when tags are spent on batches that then fail).
+    const auto pad_bits = static_cast<double>(auth_pad_bits());
+    out.gauge(prefix + "_auth_pad_bits", pad_bits);
+    out.gauge(prefix + "_auth_pad_net_bits_per_accepted",
+              totals_.accepted_batches == 0
+                  ? 0.0
+                  : (pad_bits - static_cast<double>(pad_bits_at_start_)) /
+                        static_cast<double>(totals_.accepted_batches));
     out.gauge(prefix + "_link_seconds", totals_.duration_s);
     out.counter(prefix + "_qframe_wall_us",
                 static_cast<std::uint64_t>(qframe_wall_s_ * 1e6));
@@ -134,8 +166,8 @@ BatchResult QkdLinkSession::run_batch(qkd::optics::Attack* attack) {
 
   // ---- Protocol stack: the stage pipeline over one shared context. --------
   const std::uint64_t frame_id = next_frame_id_++;
-  BatchContext ctx{.alice = {config_, alice_.drbg, alice_.auth, frame_id},
-                   .bob = {config_, bob_.drbg, bob_.auth, frame_id},
+  BatchContext ctx{.alice = {config_, alice_, frame_id},
+                   .bob = {config_, bob_, frame_id},
                    .alice_wire = alice_wire_,
                    .bob_wire = bob_wire_,
                    .frame = frame,

@@ -10,10 +10,12 @@
 // the batch was rejected — too much disturbance (eavesdropping alarm),
 // entropy exhausted, or residual error detected.
 //
-// All control traffic is encoded to real wire bytes, carried through the
-// Wegman-Carter authentication service, and accounted (message and byte
-// counts), so protocol overhead experiments read directly off BatchResult —
-// including per-stage wall time and wire bytes (BatchResult::stages).
+// All control traffic is encoded to real wire bytes, logged into each
+// side's transcript of the batch (one Wegman-Carter tag per direction
+// authenticates it before key is released: src/qkd/authentication.hpp),
+// and accounted (message and byte counts), so protocol overhead
+// experiments read directly off BatchResult — including per-stage wall
+// time and wire bytes (BatchResult::stages).
 #pragma once
 
 #include <array>
@@ -47,9 +49,9 @@ enum class AbortReason {
   kNoSiftedBits,     // link produced nothing usable
   kQberTooHigh,      // sampled error rate above the alarm threshold
   kEcNotConverged,   // error correction hit its round limit
-  kVerifyFailed,     // post-correction hash comparison mismatched
+  kVerifyFailed,     // corrected strings or the transcript tags disagree
   kEntropyExhausted, // estimate says Eve may know everything
-  kAuthExhausted,    // no pad bits left to authenticate control traffic
+  kAuthExhausted,    // no pad bits left to tag the batch's transcript
   kChannelLost,      // classical channel dropped traffic past retransmission
 };
 
@@ -127,12 +129,15 @@ struct QkdLinkConfig {
   /// Eve's expected knowledge of the distilled key <= 2^-s bits).
   std::size_t pa_margin_bits = 30;
 
-  /// Distilled bits per accepted batch diverted to authentication pads.
-  std::size_t auth_replenish_bits = 192;
+  /// Distilled bits per accepted batch diverted to authentication pads:
+  /// exactly the two transcript tags an accepted batch spends, so the pads
+  /// hold their prepositioned level.
+  std::size_t auth_replenish_bits = 64;
 
-  /// 32-bit tags keep the per-message pad cost below the replenishment
-  /// budget; 2^-32 forgery probability per control message is ample since a
-  /// single forged message only aborts one batch.
+  /// One 32-bit tag per direction per batch; 2^-32 forgery probability per
+  /// batch is ample since a forged tag only aborts that batch. The Toeplitz
+  /// hash takes the tag's 17-byte input (frame id, direction, transcript
+  /// digest), far inside max_message_bits.
   AuthenticationService::Config auth{
       .tag_bits = 32, .max_message_bits = 1 << 17, .low_water_bits = 1024};
 
@@ -144,15 +149,21 @@ struct QkdLinkConfig {
 
 /// One endpoint's long-lived protocol state. Both endpoints derive it from
 /// the one launch seed they share, which stands in for the couriered
-/// pre-QKD secret: a DRBG seeded alike on both sides (the dialogue's sample
-/// positions, corrector seeds and PA parameters are drawn from it, never
-/// sent), and the Wegman-Carter service keyed from the prepositioned
-/// secret. The session holds one per side; each peer holds its own.
+/// pre-QKD secret: a DRBG per batch seeded alike on both sides (the
+/// dialogue's sample positions, corrector seeds and PA parameters are drawn
+/// from it, never sent), and the Wegman-Carter service keyed from the
+/// prepositioned secret. The session holds one per side; each peer holds
+/// its own.
 struct DialogueEndpoint {
   DialogueEndpoint(const QkdLinkConfig& config, std::uint64_t seed,
                    bool is_alice);
 
-  qkd::crypto::Drbg drbg;
+  /// Batch `frame_id`'s DRBG. Seeding per batch keeps the two sides in
+  /// step after a batch whose sides drew different amounts (a tampered
+  /// message they both accepted, caught only by the transcript tags).
+  qkd::crypto::Drbg batch_drbg(std::uint64_t frame_id) const;
+
+  std::uint64_t drbg_seed;
   AuthenticationService auth;
 };
 
@@ -283,6 +294,9 @@ class QkdLinkSession : public qkd::keystore::KeyProducer {
   const qkd::optics::WeakCoherentLink& link() const { return link_; }
   const AuthenticationService& alice_auth() const { return alice_.auth; }
   const AuthenticationService& bob_auth() const { return bob_.auth; }
+  /// Pad bits left at the scarcer endpoint (a failed tag check spends only
+  /// the sender's pad, so the two can differ).
+  std::size_t auth_pad_bits() const;
 
   /// The public channel every control frame of this session crosses.
   /// Install impairments or ClassicalConditions here to attack the framed
@@ -301,8 +315,13 @@ class QkdLinkSession : public qkd::keystore::KeyProducer {
 
   /// Registers a collector exposing SessionTotals plus cumulative optics
   /// (`<prefix>_qframe_wall_us`) and per-stage wall time under `prefix`;
-  /// totals()/BatchResult::stages keep working unchanged. The session must
-  /// outlive the registry's snapshots.
+  /// totals()/BatchResult::stages keep working unchanged. Every abort is
+  /// explainable from it: one `<prefix>_aborted{reason="<name>"}` counter
+  /// per AbortReason, and the Wegman-Carter pads as the gauges
+  /// `<prefix>_auth_pad_bits` (the scarcer endpoint's pad_bits_available())
+  /// and `<prefix>_auth_pad_net_bits_per_accepted` (its change since the
+  /// session began, per accepted batch). The session must outlive the
+  /// registry's snapshots.
   void bind_metrics(obs::MetricsRegistry& registry, std::string prefix);
 
   // ---- keystore::KeyProducer ----------------------------------------------
@@ -352,6 +371,7 @@ class QkdLinkSession : public qkd::keystore::KeyProducer {
   obs::Tracer* tracer_ = nullptr;
   std::size_t trace_cell_ = 0;
   std::uint64_t next_frame_id_ = 0;
+  std::size_t pad_bits_at_start_ = 0;  // auth_pad_bits() at construction
   qkd::keystore::KeyPool supply_;
   std::vector<qkd::keystore::KeySupply*> sinks_;
   std::unique_ptr<qkd::optics::Attack> attack_;

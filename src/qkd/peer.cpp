@@ -10,11 +10,12 @@
 namespace qkd::proto {
 namespace {
 
-/// One side's view of the conversation: its transport, its authentication
-/// service, and the outcome being accounted into.
+/// One side's view of the conversation: its transport, its state in the
+/// batch (whose transcript logs what it sends and accepts), and the
+/// outcome being accounted into.
 struct PeerIo {
   wire::Transport& io;
-  AuthenticationService& auth;
+  DialogueSide& side;
   PeerOutcome& out;
 };
 
@@ -60,34 +61,31 @@ PeerOutcome await_abort(PeerIo& p, AbortReason reason) {
   return p.out;
 }
 
-/// Protects and sends one packet. False ends the batch: no pad was left
-/// (announced to the peer) or the wire is gone.
+/// Logs and sends one packet. False ends the batch: the wire is gone.
 template <typename Packet>
-bool send_auth(PeerIo& p, const Packet& packet) {
-  const auto protected_payload = p.auth.protect(packet.encode());
-  if (!protected_payload.has_value()) {
-    announce_abort(p, AbortReason::kAuthExhausted);
-    return false;
-  }
-  if (send_counted(p, wire::encode_frame(Packet::kType, *protected_payload)))
-    return true;
+bool send_packet(PeerIo& p, const Packet& packet) {
+  const Bytes payload = packet.encode();
+  p.side.transcript.log(Packet::kType, payload);
+  if (send_counted(p, wire::encode_frame(Packet::kType, payload))) return true;
   p.out.reason = AbortReason::kChannelLost;
   return false;
 }
 
-/// Takes a received frame as an authenticated Packet. nullopt ends the
-/// batch: the peer's abort notice carries the peer's reason; anything else
-/// (wrong type, bad tag, malformed) is announced as kChannelLost.
+/// Takes a received frame as a Packet of this batch and logs it. nullopt
+/// ends the batch: the peer's abort notice carries the peer's reason;
+/// anything else (wrong type, malformed, another batch's) is announced as
+/// kChannelLost.
 template <typename Packet>
-std::optional<Packet> accept_auth(PeerIo& p, const wire::Frame& frame) {
+std::optional<Packet> accept_packet(PeerIo& p, const wire::Frame& frame) {
   if (frame.type == wire::PacketType::kAbort) {
     p.out.reason = notice_reason(frame);
     return std::nullopt;
   }
   if (frame.type == Packet::kType) {
-    if (const auto payload = p.auth.verify(frame.payload)) {
-      auto packet = Packet::decode(*payload);
-      if (packet.ok()) return std::move(packet.value);
+    auto packet = Packet::decode(frame.payload);
+    if (packet.ok() && accepts(p.side, packet.value)) {
+      p.side.transcript.log(Packet::kType, frame.payload);
+      return std::move(packet.value);
     }
   }
   announce_abort(p, AbortReason::kChannelLost);
@@ -95,11 +93,45 @@ std::optional<Packet> accept_auth(PeerIo& p, const wire::Frame& frame) {
 }
 
 template <typename Packet>
-std::optional<Packet> recv_auth(PeerIo& p) {
+std::optional<Packet> recv_packet(PeerIo& p) {
   const auto frame = recv_decoded(p.io);
-  if (frame.has_value()) return accept_auth<Packet>(p, *frame);
+  if (frame.has_value()) return accept_packet<Packet>(p, *frame);
   announce_abort(p, AbortReason::kChannelLost);
   return std::nullopt;
+}
+
+/// Seals this side's transcript and sends the tag. False ends the batch:
+/// no pad was left (announced to the peer) or the wire is gone.
+bool send_tag(PeerIo& p) {
+  const auto tag = seal_transcript(p.side);
+  if (!tag.has_value()) {
+    announce_abort(p, AbortReason::kAuthExhausted);
+    return false;
+  }
+  return send_packet(p, *tag);
+}
+
+/// Receives the peer's tag and checks it against this side's transcript.
+/// False ends the batch with kVerifyFailed on a mismatch, announced only
+/// while the peer still listens: the side whose tag crosses last has
+/// finished the batch by then, so a mismatch on its tag stays local.
+bool accept_tag(PeerIo& p, bool peer_listens) {
+  const auto tag = recv_packet<wire::TranscriptTag>(p);
+  if (!tag.has_value()) return false;
+  const AbortReason reason = check_transcript(p.side, *tag);
+  if (reason == AbortReason::kNone) return true;
+  if (peer_listens) announce_abort(p, reason);
+  p.out.reason = reason;
+  return false;
+}
+
+/// The end of an accepted batch: the pads take their share, the rest is
+/// this side's key.
+PeerOutcome release(PeerIo& p) {
+  replenish_pads(p.side);
+  p.out.key = std::move(p.side.key);
+  p.out.accepted = true;
+  return p.out;
 }
 
 }  // namespace
@@ -114,12 +146,15 @@ AlicePeer::~AlicePeer() = default;
 PeerOutcome AlicePeer::run_batch(wire::Transport& io) {
   PeerOutcome out;
   out.frame_id = next_frame_id_++;
-  PeerIo p{io, self_.auth, out};
-  DialogueSide side{config_, self_.drbg, self_.auth, out.frame_id};
+  DialogueSide side{config_, self_, out.frame_id};
+  PeerIo p{io, side, out};
   AbortReason reason = AbortReason::kNone;
 
-  // ---- Quantum channel (simulated here, fed to Bob; uncounted). -----------
+  // ---- Quantum channel (simulated here, fed to Bob; uncounted). A batch
+  // this side could not tag is refused in place of the feed. ---------------
   const auto frame = link_.run_frame(config_.frame_slots, nullptr);
+  reason = check_tag_pads(side);
+  if (reason != AbortReason::kNone) return announce_abort(p, reason);
   wire::QframeFeed feed;
   feed.frame_id = out.frame_id;
   feed.detected = frame.bob.detected;
@@ -129,18 +164,20 @@ PeerOutcome AlicePeer::run_batch(wire::Transport& io) {
     return announce_abort(p, AbortReason::kChannelLost);
 
   // ---- Sifting: Bob announces, Alice decides. -----------------------------
-  const auto announce = recv_auth<wire::SiftAnnounce>(p);
+  const auto announce = recv_packet<wire::SiftAnnounce>(p);
   if (!announce.has_value()) return out;
+  if (announce->detected.size() != frame.alice.size())
+    return announce_abort(p, AbortReason::kChannelLost);
   AliceSiftResult sifted = alice_sift(frame.alice, *announce);
-  if (!send_auth(p, sifted.decision)) return out;
+  if (!send_packet(p, sifted.decision)) return out;
   reason = keep_sifted(side, std::move(sifted.outcome.bits));
   out.sifted_bits = side.bits.size();
   if (reason != AbortReason::kNone) return announce_abort(p, reason);
 
   // ---- Sampling: Alice reveals first. -------------------------------------
   if (const auto mine = reveal_sample(side)) {
-    if (!send_auth(p, *mine)) return out;
-    const auto theirs = recv_auth<wire::SampleReveal>(p);
+    if (!send_packet(p, *mine)) return out;
+    const auto theirs = recv_packet<wire::SampleReveal>(p);
     if (!theirs.has_value()) return out;
     reason = judge_sample(side, *mine, *theirs);
     out.qber_sampled = side.qber_sampled;
@@ -149,7 +186,7 @@ PeerOutcome AlicePeer::run_batch(wire::Transport& io) {
 
   // ---- Error correction: answer Bob's parity dialogue until his summary. -
   skip_corrector_seed(side);
-  WireParityServer server(side.bits);
+  WireParityServer server(side.bits, side.transcript);
   std::optional<wire::EcSummary> summary;
   for (;;) {
     const auto ec_frame = recv_decoded(io);
@@ -161,7 +198,7 @@ PeerOutcome AlicePeer::run_batch(wire::Transport& io) {
       server.serve_frame(io, *ec_frame);
       continue;
     }
-    summary = accept_auth<wire::EcSummary>(p, *ec_frame);
+    summary = accept_packet<wire::EcSummary>(p, *ec_frame);
     break;
   }
   out.control_messages += server.traffic().messages;
@@ -173,8 +210,8 @@ PeerOutcome AlicePeer::run_batch(wire::Transport& io) {
 
   // ---- Verify: Alice's hash first. ----------------------------------------
   const wire::VerifyHash mine_hash = verify_hash(side);
-  if (!send_auth(p, mine_hash)) return out;
-  const auto theirs_hash = recv_auth<wire::VerifyHash>(p);
+  if (!send_packet(p, mine_hash)) return out;
+  const auto theirs_hash = recv_packet<wire::VerifyHash>(p);
   if (!theirs_hash.has_value()) return out;
   reason = judge_verify(side, mine_hash, *theirs_hash);
   if (reason != AbortReason::kNone) return announce_abort(p, reason);
@@ -187,15 +224,13 @@ PeerOutcome AlicePeer::run_batch(wire::Transport& io) {
   for (const PaChunk& chunk : pa_chunks(side)) {
     const wire::PaParamsPacket params =
         make_pa_params(chunk.bits, chunk.out_bits, side.drbg);
-    if (!send_auth(p, params)) return out;
+    if (!send_packet(p, params)) return out;
     amplify_chunk(side, chunk, params);
   }
 
-  // ---- Replenish + deliver. -----------------------------------------------
-  replenish_pads(side);
-  out.key = std::move(side.key);
-  out.accepted = true;
-  return out;
+  // ---- Transcript tags: Alice's first; then replenish + deliver. ----------
+  if (!send_tag(p) || !accept_tag(p, /*peer_listens=*/false)) return out;
+  return release(p);
 }
 
 BobPeer::BobPeer(QkdLinkConfig config, std::uint64_t seed)
@@ -206,12 +241,17 @@ BobPeer::~BobPeer() = default;
 PeerOutcome BobPeer::run_batch(wire::Transport& io) {
   PeerOutcome out;
   out.frame_id = next_frame_id_++;
-  PeerIo p{io, self_.auth, out};
-  DialogueSide side{config_, self_.drbg, self_.auth, out.frame_id};
+  DialogueSide side{config_, self_, out.frame_id};
+  PeerIo p{io, side, out};
   AbortReason reason = AbortReason::kNone;
 
-  // ---- Quantum channel: receive this batch's detections. ------------------
+  // ---- Quantum channel: receive this batch's detections (or Alice's
+  // refusal to start it). ---------------------------------------------------
   const auto feed_frame = recv_decoded(io);
+  if (feed_frame.has_value() && feed_frame->type == wire::PacketType::kAbort) {
+    out.reason = notice_reason(*feed_frame);
+    return out;
+  }
   if (!feed_frame.has_value() ||
       feed_frame->type != wire::PacketType::kQframeFeed)
     return announce_abort(p, AbortReason::kChannelLost);
@@ -221,13 +261,17 @@ PeerOutcome BobPeer::run_batch(wire::Transport& io) {
   detections.detected = feed.value.detected;
   detections.bases = feed.value.bases;
   detections.bits = feed.value.bits;
+  reason = check_tag_pads(side);
+  if (reason != AbortReason::kNone) return announce_abort(p, reason);
 
   // ---- Sifting: Bob announces, then applies Alice's decision. -------------
   const wire::SiftAnnounce announce =
       make_sift_message(out.frame_id, detections);
-  if (!send_auth(p, announce)) return out;
-  const auto decision = recv_auth<wire::SiftDecision>(p);
+  if (!send_packet(p, announce)) return out;
+  const auto decision = recv_packet<wire::SiftDecision>(p);
   if (!decision.has_value()) return out;
+  if (decision->keep.size() != announce.bob_bases.size())
+    return announce_abort(p, AbortReason::kChannelLost);
   reason = keep_sifted(
       side, bob_apply_response(detections, announce, *decision).bits);
   out.sifted_bits = side.bits.size();
@@ -235,16 +279,16 @@ PeerOutcome BobPeer::run_batch(wire::Transport& io) {
 
   // ---- Sampling: Bob reveals second. --------------------------------------
   if (const auto mine = reveal_sample(side)) {
-    const auto theirs = recv_auth<wire::SampleReveal>(p);
+    const auto theirs = recv_packet<wire::SampleReveal>(p);
     if (!theirs.has_value()) return out;
-    if (!send_auth(p, *mine)) return out;
+    if (!send_packet(p, *mine)) return out;
     reason = judge_sample(side, *mine, *theirs);
     out.qber_sampled = side.qber_sampled;
     if (reason != AbortReason::kNone) return await_abort(p, reason);
   }
 
   // ---- Error correction: drive the corrector over the wire. ---------------
-  WireParityClient client(io);
+  WireParityClient client(io, side.transcript);
   std::optional<wire::EcSummary> summary;
   try {
     summary = correct_errors(side, client);
@@ -255,15 +299,15 @@ PeerOutcome BobPeer::run_batch(wire::Transport& io) {
   if (!summary.has_value())
     return announce_abort(p, AbortReason::kChannelLost);
   out.errors_corrected = summary->corrections;
-  if (!send_auth(p, *summary)) return out;
+  if (!send_packet(p, *summary)) return out;
   reason = accept_ec_summary(side, *summary, client.queries());
   if (reason != AbortReason::kNone) return await_abort(p, reason);
 
   // ---- Verify: Alice's hash first. ----------------------------------------
-  const auto theirs_hash = recv_auth<wire::VerifyHash>(p);
+  const auto theirs_hash = recv_packet<wire::VerifyHash>(p);
   if (!theirs_hash.has_value()) return out;
   const wire::VerifyHash mine_hash = verify_hash(side);
-  if (!send_auth(p, mine_hash)) return out;
+  if (!send_packet(p, mine_hash)) return out;
   reason = judge_verify(side, mine_hash, *theirs_hash);
   if (reason != AbortReason::kNone) return await_abort(p, reason);
 
@@ -272,25 +316,24 @@ PeerOutcome BobPeer::run_batch(wire::Transport& io) {
   if (reason != AbortReason::kNone) return await_abort(p, reason);
 
   // ---- Privacy amplification: Bob derives and cross-checks. Divergence
-  // means the DRBG lockstep or the wire is compromised; Alice no longer
-  // listens, so the verdict stays local. ------------------------------------
+  // means the DRBG lockstep or the wire is compromised; Bob still reads
+  // the rest of Alice's announcements and her tag, so the stream stays in
+  // step, and she learns the verdict from his notice in place of his tag.
+  bool params_match = true;
   for (const PaChunk& chunk : pa_chunks(side)) {
     const wire::PaParamsPacket expected =
         make_pa_params(chunk.bits, chunk.out_bits, side.drbg);
-    const auto announced = recv_auth<wire::PaParamsPacket>(p);
+    const auto announced = recv_packet<wire::PaParamsPacket>(p);
     if (!announced.has_value()) return out;
-    if (!(*announced == expected)) {
-      out.reason = AbortReason::kVerifyFailed;
-      return out;
-    }
-    amplify_chunk(side, chunk, expected);
+    params_match = params_match && *announced == expected;
+    if (params_match) amplify_chunk(side, chunk, expected);
   }
 
-  // ---- Replenish + deliver. -----------------------------------------------
-  replenish_pads(side);
-  out.key = std::move(side.key);
-  out.accepted = true;
-  return out;
+  // ---- Transcript tags: Alice's first; then replenish + deliver. ----------
+  if (!accept_tag(p, /*peer_listens=*/true)) return out;
+  if (!params_match) return announce_abort(p, AbortReason::kVerifyFailed);
+  if (!send_tag(p)) return out;
+  return release(p);
 }
 
 }  // namespace qkd::proto

@@ -6,22 +6,27 @@
 // A peer runs its own side's steps of the dialogue (src/qkd/dialogue.hpp),
 // the same steps the in-process pipeline runs for both sides, and moves
 // their packets with send/receive on its transport: SiftAnnounce/
-// SiftDecision, two SampleReveals, the bare parity dialogue, EcSummary,
-// two VerifyHashes, PaParams per chunk. Both peers seed their DRBG alike,
-// so sample positions, corrector seeds and PA parameters agree without
-// crossing the wire (Bob cross-checks Alice's announced PA parameters
-// against his own derivation). Each side spends its own pad on exactly
-// the messages it sends in-process, so the peers exhaust their pads on
-// the same batch QkdLinkSession does.
+// SiftDecision, two SampleReveals, the parity dialogue, EcSummary, two
+// VerifyHashes, PaParams per chunk, then the two TranscriptTags (Alice's
+// first). Every packet a side sends or accepts goes into its transcript.
+// Both peers seed each batch's DRBG alike, so sample positions, corrector
+// seeds and PA parameters agree without crossing the wire (Bob
+// cross-checks Alice's announced PA parameters against his own
+// derivation). Each side spends pad on its one tag, exactly as in
+// process, so the peers exhaust their pads on the same batch
+// QkdLinkSession does.
 //
 // Rejection: Alice announces every verdict reached from shared data
 // (nothing sifted, QBER alarms, non-convergence, hash mismatch, entropy
 // exhausted) with one bare kAbort frame, which Bob, having reached the
-// same verdict, consumes. A side that aborts on its own (no pad left to
-// protect its next message, a dead or tampered wire) announces that too,
-// so the other side learns the reason at once instead of at its receive
-// timeout. The one exception is Bob's PA cross-check: Alice has stopped
-// listening by then.
+// same verdict, consumes. A side that aborts on its own (no pad left for
+// the batch's tag, a dead wire, a packet that does not decode or names
+// another batch, Bob's PA cross-check, a tag that does not check)
+// announces that too, so the other side learns the reason at once instead
+// of at its receive timeout. The one exception is Alice's check of Bob's
+// tag, the last message of the batch: Bob has finished by then, so that
+// verdict stays with Alice (and Bob keeps a key she discarded; only an
+// altered last tag can cause this).
 //
 // QframeFeed is the one frame type outside the dialogue: Alice simulates
 // the optics and feeds Bob his detection record — the QUANTUM channel,

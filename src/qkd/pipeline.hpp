@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -32,13 +33,6 @@
 #include "src/wire/transport.hpp"
 
 namespace qkd::proto {
-
-/// Outcome of shipping one control message end to end.
-enum class ShipStatus {
-  kOk,             // delivered and (where applicable) verified
-  kAuthExhausted,  // no pad bits left to protect it
-  kChannelLost,    // retransmission gave up on the classical channel
-};
 
 /// Per-frame working state threaded through the stages: each side's own
 /// state, its end of the classical channel, the Qframe, and the batch's
@@ -57,17 +51,28 @@ struct BatchContext {
   BatchResult& result;
 
   /// Ships one typed packet from one side to the other as a real encoded
-  /// frame over the transports, Wegman-Carter-protected (the packet's
-  /// encoding is what gets authenticated), retransmitting through loss.
-  /// Counts every frame actually put on the wire into `result`.
+  /// frame over the transports, retransmitting through loss, until the
+  /// receiving side accepts a frame (it decodes, and accepts() it);
+  /// `received` is what it accepted, which the receiver's steps then use.
+  /// The sender's transcript logs what it sent, the receiver's what it
+  /// accepted. Counts every frame actually put on the wire into `result`.
+  /// False when retransmission gave up (kChannelLost).
   template <typename Packet>
-  ShipStatus ship(bool from_alice, const Packet& packet) {
-    return ship_frame(from_alice, Packet::kType, packet.encode());
+  bool ship(bool from_alice, const Packet& packet, Packet& received) {
+    const DialogueSide& receiver = from_alice ? bob : alice;
+    return ship_frame(from_alice, Packet::kType, packet.encode(),
+                      [&](const Bytes& payload) {
+                        auto decoded = Packet::decode(payload);
+                        if (!decoded.ok() || !accepts(receiver, decoded.value))
+                          return false;
+                        received = std::move(decoded.value);
+                        return true;
+                      });
   }
 
   /// The transport-level primitive behind ship().
-  ShipStatus ship_frame(bool from_alice, wire::PacketType type,
-                        const Bytes& packet_payload);
+  bool ship_frame(bool from_alice, wire::PacketType type, const Bytes& payload,
+                  const std::function<bool(const Bytes&)>& accept);
 };
 
 /// One stage of the distillation pipeline.

@@ -17,16 +17,25 @@ bool WireParityServer::serve_frame(wire::Transport& io,
   if (!request.ok()) return false;
 
   const ParityQuery query = ParityQuery::from_request(request.value);
+  wire::ParityResponse response;
   // A retransmitted duplicate re-answers from cache: the same parity bit
-  // said twice is one disclosure, not two.
-  if (!(last_query_.has_value() && *last_query_ == query)) {
-    last_parity_ = oracle_.parity(query);
+  // said twice is one disclosure, not two, and one entry in the log.
+  const bool repeat = last_query_.has_value() && *last_query_ == query;
+  if (!repeat) {
+    try {
+      last_parity_ = oracle_.parity(query);
+    } catch (const std::out_of_range&) {
+      return false;  // a question about bits Alice does not hold
+    }
     last_query_ = query;
   }
-
-  wire::ParityResponse response;
   response.parity = last_parity_;
-  const Bytes framed = wire::to_frame(response);
+  const Bytes payload = response.encode();
+  if (!repeat) {
+    transcript_.log(wire::PacketType::kParityRequest, frame.payload);
+    transcript_.log(wire::PacketType::kParityResponse, payload);
+  }
+  const Bytes framed = wire::encode_frame(wire::ParityResponse::kType, payload);
   io.send_frame(framed);
   ++traffic_.messages;
   traffic_.bytes += framed.size();
@@ -34,11 +43,13 @@ bool WireParityServer::serve_frame(wire::Transport& io,
 }
 
 bool WireParityClient::parity(const ParityQuery& query) {
-  // Counted the way the server counts: the same question asked twice in a
-  // row discloses one parity bit, not two.
-  if (!(last_query_.has_value() && *last_query_ == query)) ++queries_;
+  // Counted (and logged) the way the server counts: the same question
+  // asked twice in a row discloses one parity bit, not two.
+  const bool repeat = last_query_.has_value() && *last_query_ == query;
+  if (!repeat) ++queries_;
   last_query_ = query;
-  const Bytes framed = wire::to_frame(query.to_request());
+  const Bytes request = query.to_request().encode();
+  const Bytes framed = wire::encode_frame(wire::ParityRequest::kType, request);
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     io_.send_frame(framed);
     ++traffic_.messages;
@@ -51,7 +62,12 @@ bool WireParityClient::parity(const ParityQuery& query) {
       continue;  // corrupted: retransmit, verify will audit the result
     const auto response = wire::ParityResponse::decode(frame.value.payload);
     if (!response.ok()) continue;
-    return response.value.parity;
+    if (!repeat || response.value.parity != last_parity_) {
+      transcript_.log(wire::PacketType::kParityRequest, request);
+      transcript_.log(wire::PacketType::kParityResponse, frame.value.payload);
+    }
+    last_parity_ = response.value.parity;
+    return last_parity_;
   }
   throw ChannelLostError();
 }

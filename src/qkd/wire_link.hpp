@@ -6,12 +6,16 @@
 // receive); across processes each side holds only its half and the TCP
 // socket sits in between — same frames either way.
 //
-// Parity frames travel UNAUTHENTICATED by design: Cascade asks thousands
-// of one-bit questions per batch, and spending Wegman-Carter pad on each
-// would exhaust the very key being distilled. Tampering with them corrupts
-// the correction and is caught by the verify stage's hash exchange, which
-// is the paper's containment for this surface. Lost or mangled frames are
-// retransmitted; a persistently dead channel surfaces as ChannelLostError
+// Parity frames carry no tag of their own: Cascade asks hundreds of
+// one-bit questions per batch, and a tag on each would spend more pad
+// than the batch distills. They are authenticated with the rest of the
+// batch instead: both ends log every question and its answer into their
+// transcripts (src/qkd/authentication.hpp), once per distinct question —
+// a retransmitted question, re-answered from cache, is logged once — so
+// a lossy channel leaves the two logs equal while an altered, injected or
+// dropped question or answer makes the batch's transcript tags disagree
+// and no key is released. Lost or mangled frames are retransmitted; a
+// persistently dead channel surfaces as ChannelLostError
 // (-> AbortReason::kChannelLost).
 #pragma once
 
@@ -20,6 +24,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "src/qkd/authentication.hpp"
 #include "src/qkd/ec.hpp"
 #include "src/wire/packets.hpp"
 #include "src/wire/transport.hpp"
@@ -41,16 +46,19 @@ class ChannelLostError : public std::runtime_error {
 };
 
 /// Alice's side: answers parity requests arriving on a transport against
-/// her sifted bits. Retransmitted duplicates of the last query are
-/// re-answered from cache so a lossy channel cannot inflate the disclosure
-/// count the entropy estimate charges for.
+/// her sifted bits, logging each new question and its answer into
+/// `transcript`. Retransmitted duplicates of the last query are re-answered
+/// from cache (and not logged again) so a lossy channel cannot inflate the
+/// disclosure count the entropy estimate charges for.
 class WireParityServer {
  public:
-  explicit WireParityServer(const qkd::BitVector& bits) : oracle_(bits) {}
+  WireParityServer(const qkd::BitVector& bits, Transcript& transcript)
+      : oracle_(bits), transcript_(transcript) {}
 
   /// Serves at most one pending request on `io` (receive, compute,
   /// respond). Returns false when nothing decodable was waiting;
-  /// malformed frames are consumed and dropped (the client retransmits).
+  /// malformed frames and questions outside the sifted string are
+  /// consumed and dropped unanswered (the client retransmits).
   bool serve_one(wire::Transport& io);
 
   /// Serves an already-received frame (two-process receive loops dispatch
@@ -65,22 +73,26 @@ class WireParityServer {
 
  private:
   LocalParityOracle oracle_;
+  Transcript& transcript_;
   std::optional<ParityQuery> last_query_;
   bool last_parity_ = false;
   WireTraffic traffic_;
 };
 
 /// Bob's side: a ParityOracle that ships each query as a frame and blocks
-/// on the response, retransmitting through loss. `pump` (in-process runs
-/// only) is invoked between send and receive to let the colocated
-/// WireParityServer take its turn.
+/// on the response, retransmitting through loss, and logs each new
+/// question with the answer it accepted into `transcript` (a back-to-back
+/// repeat of a question is logged again only if its answer changed, which
+/// an honest server never does). `pump` (in-process runs only) is invoked
+/// between send and receive to let the colocated WireParityServer take its
+/// turn.
 class WireParityClient final : public ParityOracle {
  public:
   static constexpr int kMaxAttempts = 12;
 
-  explicit WireParityClient(wire::Transport& io,
-                            std::function<void()> pump = {})
-      : io_(io), pump_(std::move(pump)) {}
+  WireParityClient(wire::Transport& io, Transcript& transcript,
+                   std::function<void()> pump = {})
+      : io_(io), transcript_(transcript), pump_(std::move(pump)) {}
 
   /// Throws ChannelLostError after kMaxAttempts fruitless retransmits.
   bool parity(const ParityQuery& query) override;
@@ -95,10 +107,12 @@ class WireParityClient final : public ParityOracle {
 
  private:
   wire::Transport& io_;
+  Transcript& transcript_;
   std::function<void()> pump_;
   WireTraffic traffic_;
   std::size_t queries_ = 0;
   std::optional<ParityQuery> last_query_;
+  bool last_parity_ = false;
 };
 
 }  // namespace qkd::proto

@@ -14,6 +14,7 @@ bool packet_type_known(std::uint8_t raw) {
     case PacketType::kVerifyHash:
     case PacketType::kPaParams:
     case PacketType::kAbort:
+    case PacketType::kTranscriptTag:
     case PacketType::kKmsRegister:
     case PacketType::kKmsRegisterReply:
     case PacketType::kKmsGetKey:
@@ -42,6 +43,7 @@ const char* packet_type_name(PacketType type) {
     case PacketType::kVerifyHash: return "verify-hash";
     case PacketType::kPaParams: return "pa-params";
     case PacketType::kAbort: return "abort";
+    case PacketType::kTranscriptTag: return "transcript-tag";
     case PacketType::kKmsRegister: return "kms-register";
     case PacketType::kKmsRegisterReply: return "kms-register-reply";
     case PacketType::kKmsGetKey: return "kms-get-key";

@@ -48,6 +48,7 @@ enum class PacketType : std::uint8_t {
   kPaParams = 0x09,       // Alice -> Bob: multiplier / poly / addend / m
   kAbort = 0x0A,          // either direction: batch rejected, with reason
   // 0x0B is retired (it carried a digest of the distilled key).
+  kTranscriptTag = 0x0C,  // either direction: Wegman-Carter tag of the batch
   // KMS API (src/wire/etsi.hpp).
   kKmsRegister = 0x20,
   kKmsRegisterReply = 0x21,

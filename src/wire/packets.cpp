@@ -50,9 +50,13 @@ qkd::BitVector get_bits_dense(ByteReader& reader) {
   return bits;
 }
 
-void put_bits_sparse(Bytes& out, const qkd::BitVector& bits) {
-  put_varint(out, bits.size());
-  put_varint(out, bits.popcount());
+namespace {
+
+/// put_bits_sparse after its size field: the set count and the zero-run
+/// deltas, for a caller that already counted the set bits.
+void put_set_positions(Bytes& out, const qkd::BitVector& bits,
+                       std::size_t popcount) {
+  put_varint(out, popcount);
   std::uint64_t previous = 0;
   bool first = true;
   bits.for_each_set_bit([&](std::size_t i) {
@@ -60,6 +64,19 @@ void put_bits_sparse(Bytes& out, const qkd::BitVector& bits) {
     previous = i;
     first = false;
   });
+}
+
+std::size_t varint_size(std::uint64_t value) {
+  std::size_t bytes = 1;
+  for (; value >= 0x80; value >>= 7) ++bytes;
+  return bytes;
+}
+
+}  // namespace
+
+void put_bits_sparse(Bytes& out, const qkd::BitVector& bits) {
+  put_varint(out, bits.size());
+  put_set_positions(out, bits, bits.popcount());
 }
 
 qkd::BitVector get_bits_sparse(ByteReader& reader) {
@@ -76,6 +93,51 @@ qkd::BitVector get_bits_sparse(ByteReader& reader) {
       throw std::invalid_argument("wire: set position out of range");
     bits.set(static_cast<std::size_t>(position), true);
   }
+  return bits;
+}
+
+// The compact form is dense exactly when its packed bytes are fewer than
+// the sparse form's count and deltas. Every set bit costs the sparse form
+// at least one byte, so a popcount at or above the packed size settles it
+// without a sparse pass.
+
+void put_bits_compact(Bytes& out, const qkd::BitVector& bits) {
+  const std::size_t dense_bytes = (bits.size() + 7) / 8;
+  const std::size_t popcount = bits.popcount();
+  if (popcount < dense_bytes) {
+    const std::size_t start = out.size();
+    put_u8(out, 0);
+    put_varint(out, bits.size());
+    const std::size_t positions = out.size();
+    put_set_positions(out, bits, popcount);
+    if (out.size() - positions <= dense_bytes) return;
+    out.resize(start);
+  }
+  put_u8(out, 1);
+  put_bits_dense(out, bits);
+}
+
+qkd::BitVector get_bits_compact(ByteReader& reader) {
+  const std::uint8_t form = reader.u8();
+  if (form > 1) throw std::invalid_argument("wire: unknown bitmap form");
+  bool canonical = true;
+  qkd::BitVector bits;
+  if (form == 0) {
+    const std::size_t before = reader.remaining();
+    bits = get_bits_sparse(reader);
+    const std::size_t positions =
+        before - reader.remaining() - varint_size(bits.size());
+    canonical = positions <= (bits.size() + 7) / 8;
+  } else {
+    bits = get_bits_dense(reader);
+    const std::size_t popcount = bits.popcount();
+    if (popcount < (bits.size() + 7) / 8) {
+      Bytes sparse;
+      put_set_positions(sparse, bits, popcount);
+      canonical = sparse.size() > (bits.size() + 7) / 8;
+    }
+  }
+  if (!canonical) throw std::invalid_argument("wire: bitmap in the larger form");
   return bits;
 }
 
@@ -109,7 +171,7 @@ Result<QframeFeed> QframeFeed::decode(const Bytes& payload) {
 Bytes SiftAnnounce::encode() const {
   Bytes out;
   put_varint(out, frame_id);
-  put_bits_sparse(out, detected);
+  put_bits_compact(out, detected);
   put_bits_dense(out, bob_bases);
   return out;
 }
@@ -118,7 +180,7 @@ Result<SiftAnnounce> SiftAnnounce::decode(const Bytes& payload) {
   return parse_payload<SiftAnnounce>(payload, [](ByteReader& reader) {
     SiftAnnounce packet;
     packet.frame_id = reader.varint();
-    packet.detected = get_bits_sparse(reader);
+    packet.detected = get_bits_compact(reader);
     packet.bob_bases = get_bits_dense(reader);
     if (packet.bob_bases.size() != packet.detected.popcount())
       throw std::invalid_argument("SiftAnnounce: one basis per detection");
@@ -295,6 +357,28 @@ Result<AbortPacket> AbortPacket::decode(const Bytes& payload) {
   });
 }
 
+// ---- TranscriptTag ---------------------------------------------------------
+
+Bytes TranscriptTag::encode() const {
+  Bytes out;
+  put_varint(out, frame_id);
+  put_varint(out, seq);
+  put_bits_dense(out, tag);
+  return out;
+}
+
+Result<TranscriptTag> TranscriptTag::decode(const Bytes& payload) {
+  return parse_payload<TranscriptTag>(payload, [](ByteReader& reader) {
+    TranscriptTag packet;
+    packet.frame_id = reader.varint();
+    packet.seq = reader.varint();
+    packet.tag = get_bits_dense(reader);
+    if (packet.tag.size() > 1024)
+      throw std::invalid_argument("TranscriptTag: oversized tag");
+    return packet;
+  });
+}
+
 // ---- Whole-packet codec ----------------------------------------------------
 
 namespace {
@@ -331,6 +415,8 @@ Result<DistillationPacket> decode_packet(const Frame& frame) {
       return lift(PaParamsPacket::decode(frame.payload));
     case PacketType::kAbort:
       return lift(AbortPacket::decode(frame.payload));
+    case PacketType::kTranscriptTag:
+      return lift(TranscriptTag::decode(frame.payload));
     default:
       return Result<DistillationPacket>::failure(WireError::kMalformedPayload);
   }

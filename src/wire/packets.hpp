@@ -11,6 +11,9 @@
 //    varint bit-count + varint set-count + delta-encoded set positions —
 //    the run-length encoding the paper's Appendix asks of sift messages,
 //    each delta being the run of "no detection" slots before a click;
+//  * a bitmap whose density is not known in advance (the sift
+//    announcement's) as a one-byte form tag and then whichever of the
+//    sparse and dense forms is smaller;
 //  * decode is strict: short payloads, impossible counts, nonzero padding
 //    bits and trailing bytes all return WireError::kMalformedPayload.
 #pragma once
@@ -38,6 +41,14 @@ qkd::BitVector get_bits_dense(ByteReader& reader);  // throws on malformed
 void put_bits_sparse(Bytes& out, const qkd::BitVector& bits);
 qkd::BitVector get_bits_sparse(ByteReader& reader);  // throws on malformed
 
+/// Form tag (0: sparse, 1: dense) + that form: dense only when it is
+/// strictly smaller, so a click bitmap at the paper's ~0.3% costs one byte
+/// over put_bits_sparse and a dense one at most the dense form plus one.
+/// Decode rejects the form the encoder would not have chosen, keeping the
+/// encoding canonical.
+void put_bits_compact(Bytes& out, const qkd::BitVector& bits);
+qkd::BitVector get_bits_compact(ByteReader& reader);  // throws on malformed
+
 // ---- Packets ---------------------------------------------------------------
 
 /// Simulation bootstrap (two-process runs only): the side simulating the
@@ -61,7 +72,7 @@ struct QframeFeed {
 struct SiftAnnounce {
   static constexpr PacketType kType = PacketType::kSiftAnnounce;
   std::uint64_t frame_id = 0;
-  qkd::BitVector detected;   // per slot (sparse on the wire)
+  qkd::BitVector detected;   // per slot (put_bits_compact on the wire)
   qkd::BitVector bob_bases;  // per detection
 
   Bytes encode() const;
@@ -169,12 +180,27 @@ struct AbortPacket {
   bool operator==(const AbortPacket&) const = default;
 };
 
+/// Either direction, once per batch before any key is released: the
+/// sender's Wegman-Carter tag over its transcript of the whole batch
+/// (src/qkd/authentication.hpp). `seq` is the sender's tag counter, which
+/// names the one-time-pad slot the tag spent.
+struct TranscriptTag {
+  static constexpr PacketType kType = PacketType::kTranscriptTag;
+  std::uint64_t frame_id = 0;
+  std::uint64_t seq = 0;
+  qkd::BitVector tag;
+
+  Bytes encode() const;
+  static Result<TranscriptTag> decode(const Bytes& payload);
+  bool operator==(const TranscriptTag&) const = default;
+};
+
 // ---- Whole-packet codec ----------------------------------------------------
 
 using DistillationPacket =
     std::variant<QframeFeed, SiftAnnounce, SiftDecision, SampleReveal,
                  ParityRequest, ParityResponse, EcSummary, VerifyHash,
-                 PaParamsPacket, AbortPacket>;
+                 PaParamsPacket, AbortPacket, TranscriptTag>;
 
 /// Encodes payload + frame header in one step.
 template <typename Packet>

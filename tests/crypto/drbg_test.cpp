@@ -2,8 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace qkd::crypto {
 namespace {
+
+std::string hex(const Bytes& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out += digits[b >> 4];
+    out += digits[b & 15];
+  }
+  return out;
+}
 
 TEST(Drbg, DeterministicForSeed) {
   Drbg a(42u), b(42u);
@@ -48,6 +60,46 @@ TEST(Drbg, ByteSeedConstructor) {
   Drbg a(seed), b(seed);
   EXPECT_EQ(a.next_u64(), b.next_u64());
   EXPECT_NE(a.next_u32(), 0u);  // vanishingly unlikely to be zero
+}
+
+TEST(Drbg, FirstOutputsArePinned) {
+  // Recorded from the Bytes-based generator; every protocol draw (sample
+  // positions, corrector seeds, PA parameters, the prepositioned secret)
+  // follows from this stream, so it must never move.
+  struct Golden {
+    std::uint64_t seed;
+    std::uint64_t u64[3];
+    std::uint32_t u32;
+  };
+  const Golden golden[] = {
+      {0, {0xa766e4c0d57f83bfull, 0x0c94089ff5641302ull, 0x0342f5bd9c03cd81ull},
+       0x5e03791fu},
+      {1, {0x5d4c9d44bc1ae8a6ull, 0x332ac40f6cc9e566ull, 0x044ee5202347b07dull},
+       0xebab885eu},
+      {0xD15711, {0x092fa46bd2d61181ull, 0xf71cf771036a6085ull,
+                  0x1c6fd8e9c5924c14ull},
+       0xda96af1eu},
+      {~0ull, {0x5d422b4dce5c9690ull, 0x9147845b75fb1396ull,
+               0xb1146add57a48821ull},
+       0xe0ae8463u},
+  };
+  for (const Golden& g : golden) {
+    Drbg d(g.seed);
+    for (std::uint64_t expected : g.u64) EXPECT_EQ(d.next_u64(), expected);
+    EXPECT_EQ(d.next_u32(), g.u32);
+  }
+  Drbg d(0xD15711u);
+  for (int i = 0; i < 3; ++i) d.next_u64();
+  d.next_u32();
+  EXPECT_EQ(hex(d.generate(37)),
+            "4fe80f8bbf0bd49b0925a84d47557678d362a64dd464a6a1566e01626764784f"
+            "ff9daf474d");
+  EXPECT_EQ(hex(d.generate_bits(70).to_bytes()), "37d073fcf4c6fb4106");
+
+  const Bytes seed = {0xde, 0xad};
+  Drbg reseeded(seed);
+  reseeded.reseed(Bytes{1, 2, 3});
+  EXPECT_EQ(reseeded.next_u64(), 0x19ccb0d951a5bcf6ull);
 }
 
 }  // namespace

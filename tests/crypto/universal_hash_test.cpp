@@ -5,6 +5,7 @@
 #include "tests/testing/seeded_rng.hpp"
 
 #include "src/common/rng.hpp"
+#include "src/crypto/gf2n.hpp"
 
 namespace qkd::crypto {
 namespace {
@@ -65,6 +66,78 @@ TEST(PolyHash64, LengthIsAuthenticated) {
   const Bytes a = {1, 2, 3, 0};
   const Bytes b = {1, 2, 3};
   EXPECT_NE(poly_hash64(7, a), poly_hash64(7, b));
+}
+
+/// poly_hash64 as first written: every block multiplied through
+/// Gf2Field on BitVectors. The table-driven form must match it bit for bit.
+std::uint64_t reference_poly_hash64(std::uint64_t key,
+                                    std::span<const std::uint8_t> message) {
+  const Gf2Field field(64);
+  const qkd::BitVector k = qkd::BitVector::from_uint64(key, 64);
+  qkd::BitVector acc(64);
+  auto absorb = [&](std::uint64_t block) {
+    acc = field.multiply(acc, k);
+    acc ^= qkd::BitVector::from_uint64(block, 64);
+  };
+  for (std::size_t off = 0; off < message.size(); off += 8) {
+    std::uint64_t block = 0;
+    for (std::size_t i = off; i < std::min(off + 8, message.size()); ++i)
+      block |= static_cast<std::uint64_t>(message[i]) << (8 * (i - off));
+    absorb(block);
+  }
+  absorb(static_cast<std::uint64_t>(message.size()));
+  return acc.to_uint64();
+}
+
+TEST(PolyHash64, MatchesFieldArithmeticOverRandomLengths) {
+  // Lengths 0..4 KiB cover the empty message, every tail-block width and
+  // the length block; each message is also streamed in random pieces.
+  QKD_SEEDED_RNG(rng, 17);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::uint64_t key = rng.next_u64();
+    const std::size_t len = rng.next_u64() % 4097;
+    Bytes message(len);
+    for (auto& byte : message) byte = static_cast<std::uint8_t>(rng.next_u64());
+    const std::uint64_t expected = reference_poly_hash64(key, message);
+    ASSERT_EQ(poly_hash64(key, message), expected) << "len " << len;
+
+    PolyHash64 stream(key);
+    for (std::size_t off = 0; off < len;) {
+      const std::size_t piece = std::min<std::size_t>(rng.next_u64() % 20, len - off);
+      stream.update(std::span<const std::uint8_t>(message.data() + off, piece));
+      off += piece;
+    }
+    ASSERT_EQ(stream.digest(), expected) << "streamed, len " << len;
+  }
+}
+
+TEST(PolyHash64, KnownAnswers) {
+  // Recorded from the BitVector/Gf2Field evaluation.
+  Bytes message;
+  for (int i = 0; i < 100; ++i)
+    message.push_back(static_cast<std::uint8_t>(i * 37 + 11));
+  const std::uint64_t key = 0x0123456789ABCDEFull;
+  const std::pair<std::size_t, std::uint64_t> answers[] = {
+      {0, 0x0000000000000000ull},  {1, 0x0a7fe494d7a23948ull},
+      {7, 0x06af3817bb3136cdull},  {8, 0x1c3cdc2eb0f787afull},
+      {9, 0x51b56a799320f20dull},  {63, 0xbb6e957afa040fceull},
+      {64, 0x3a365a891a09951aull}, {100, 0x09cf1dce00eec643ull}};
+  for (const auto& [len, digest] : answers)
+    EXPECT_EQ(poly_hash64(key, std::span<const std::uint8_t>(message.data(), len)),
+              digest)
+        << "len " << len;
+}
+
+TEST(PolyHash64, DigestLeavesTheStreamOpen) {
+  const Bytes a = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const Bytes b = {10, 11, 12};
+  Bytes ab = a;
+  ab.insert(ab.end(), b.begin(), b.end());
+  PolyHash64 stream(99);
+  stream.update(a);
+  EXPECT_EQ(stream.digest(), poly_hash64(99, a));
+  stream.update(b);
+  EXPECT_EQ(stream.digest(), poly_hash64(99, ab));
 }
 
 TEST(WegmanCarter, TagVerifyRoundTrip) {

@@ -122,6 +122,86 @@ TEST(WireIntegration, DistillationLandsByteIdenticalKeysAcrossProcesses) {
   EXPECT_EQ(wait_exit(bob_pid), 0);
 }
 
+/// Delivers frames unchanged except the first one of type `target`, whose
+/// last payload byte arrives with its low bit flipped.
+class FlipOnArrival final : public wire::Transport {
+ public:
+  FlipOnArrival(wire::Transport& inner, wire::PacketType target)
+      : inner_(inner), target_(target) {}
+  bool send_frame(const Bytes& frame) override {
+    return inner_.send_frame(frame);
+  }
+  std::optional<Bytes> recv_frame() override {
+    auto raw = inner_.recv_frame();
+    if (!raw.has_value() || done_) return raw;
+    const auto frame = wire::decode_frame(*raw);
+    if (!frame.ok() || frame.value.type != target_) return raw;
+    done_ = true;
+    Bytes payload = frame.value.payload;
+    payload.back() ^= 0x01;
+    return wire::encode_frame(target_, payload);
+  }
+
+ private:
+  wire::Transport& inner_;
+  wire::PacketType target_;
+  bool done_ = false;
+};
+
+TEST(WireIntegration, ATamperedFrameReleasesNoKeyInEitherProcess) {
+  // One PA-parameters frame altered on its way into Bob's process: both
+  // processes abort the batch with no key, then distill the next batch to
+  // the same key.
+  REQUIRE_INTEGRATION();
+  const proto::QkdLinkConfig config;
+  wire::TcpListener listener(0);
+  int key_pipe[2];
+  ASSERT_EQ(::pipe(key_pipe), 0);
+
+  const pid_t bob_pid = ::fork();
+  ASSERT_GE(bob_pid, 0);
+  if (bob_pid == 0) {
+    ::close(key_pipe[0]);
+    proto::BobPeer bob(config, kSeed);
+    auto io = wire::tcp_connect(listener.port());
+    if (io == nullptr) ::_exit(2);
+    io->set_recv_timeout_ms(kRecvTimeoutMs);
+    FlipOnArrival eve(*io, wire::PacketType::kPaParams);
+    const proto::PeerOutcome tampered = bob.run_batch(eve);
+    if (tampered.accepted || !tampered.key.empty()) ::_exit(3);
+    const proto::PeerOutcome next = bob.run_batch(eve);
+    if (!next.accepted) ::_exit(4);
+    const Bytes bytes = next.key.to_bytes();
+    const std::uint64_t size = bytes.size();
+    if (::write(key_pipe[1], &size, sizeof(size)) != sizeof(size) ||
+        ::write(key_pipe[1], bytes.data(), bytes.size()) !=
+            static_cast<ssize_t>(bytes.size()))
+      ::_exit(5);
+    ::close(key_pipe[1]);
+    ::_exit(0);
+  }
+
+  ::close(key_pipe[1]);
+  auto io = listener.accept_transport();
+  ASSERT_NE(io, nullptr);
+  io->set_recv_timeout_ms(kRecvTimeoutMs);
+  proto::AlicePeer alice(config, kSeed);
+  const proto::PeerOutcome tampered = alice.run_batch(*io);
+  EXPECT_FALSE(tampered.accepted);
+  EXPECT_EQ(tampered.reason, proto::AbortReason::kVerifyFailed);
+  EXPECT_TRUE(tampered.key.empty());
+  const proto::PeerOutcome next = alice.run_batch(*io);
+  ASSERT_TRUE(next.accepted) << "reason " << static_cast<int>(next.reason);
+
+  std::uint64_t size = 0;
+  ASSERT_TRUE(read_exact(key_pipe[0], &size, sizeof(size)));
+  Bytes bob_key(size);
+  ASSERT_TRUE(read_exact(key_pipe[0], bob_key.data(), bob_key.size()));
+  ::close(key_pipe[0]);
+  EXPECT_EQ(bob_key, next.key.to_bytes());
+  EXPECT_EQ(wait_exit(bob_pid), 0);
+}
+
 TEST(WireIntegration, KmsDialogueCompletesAgainstAServerProcess) {
   REQUIRE_INTEGRATION();
   wire::TcpListener listener(0);

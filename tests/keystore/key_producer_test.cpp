@@ -16,7 +16,6 @@ namespace {
 qkd::proto::QkdLinkConfig small_config() {
   qkd::proto::QkdLinkConfig config;
   config.frame_slots = 1 << 19;
-  config.auth_replenish_bits = 64;
   return config;
 }
 

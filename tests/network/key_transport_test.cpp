@@ -41,6 +41,8 @@ TEST(DistillFraction, AgreesWithEngineBackedServiceAtTwoOperatingPoints) {
     topo.add_link(a, b, params);
     LinkKeyService::Config config;
     config.proto.frame_slots = 1 << 20;
+    // Every distilled bit to the supply; the prepositioned pads then pay
+    // one tag each way per accepted batch, a runway of 128 batches.
     config.proto.auth_replenish_bits = 0;
     config.seed = 42;
     LinkKeyService service(topo, config);

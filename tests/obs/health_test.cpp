@@ -453,6 +453,38 @@ TEST(AlertEngine, RulePackFactoriesNameAndLabelTheirRules) {
                "rate_of_change");
   EXPECT_STREQ(condition_kind(rules::distillation_stalled("t").condition),
                "absence");
+  const AlertRule pads = rules::auth_pad_drought("link0_auth_pad_bits", "0");
+  EXPECT_EQ(pads.name, "auth_pad_drought:0");
+  EXPECT_STREQ(condition_kind(pads.condition), "depletion");
+  EXPECT_GT(pads.for_duration, std::get<Depletion>(pads.condition).window);
+}
+
+TEST(AlertEngine, DepletionSeesAFloorOrASustainedDrain) {
+  MetricsRegistry registry;
+  Gauge& pads = registry.gauge("pads");
+  AlertEngine engine(registry);
+  AlertRule rule;
+  rule.name = "pads_low";
+  rule.condition = Depletion{"pads", 1000.0, 10 * qkd::kSecond};
+  engine.add_rule(rule);
+  EXPECT_THROW(engine.add_rule(AlertRule{"bad", "", Depletion{"pads", 0, 0}}),
+               std::invalid_argument);
+
+  // A steady level above the floor is healthy; one dip below the level a
+  // window ago trips the drain arm until the window slides past it.
+  pads.set(5000);
+  for (int t = 1; t <= 12; ++t) engine.evaluate(t * qkd::kSecond);
+  EXPECT_EQ(engine.state("pads_low"), AlertState::kInactive);
+  pads.set(4968);
+  engine.evaluate(13 * qkd::kSecond);
+  EXPECT_EQ(engine.state("pads_low"), AlertState::kFiring);
+  for (int t = 14; t <= 24; ++t) engine.evaluate(t * qkd::kSecond);
+  EXPECT_EQ(engine.state("pads_low"), AlertState::kResolved);
+
+  // Below the floor it holds however flat the level is.
+  pads.set(900);
+  for (int t = 25; t <= 60; ++t) engine.evaluate(t * qkd::kSecond);
+  EXPECT_EQ(engine.state("pads_low"), AlertState::kFiring);
 }
 
 }  // namespace

@@ -215,14 +215,17 @@ TEST(QkdLinkSession, ControlTrafficIsAccounted) {
 
 TEST(QkdLinkSession, AuthenticationPadsAreReplenishedFromDistilledKey) {
   QkdLinkConfig config = fast_config();
-  config.auth_replenish_bits = 512;
+  config.auth_replenish_bits = 128;
   QkdLinkSession session(config, 14);
   const std::size_t before = session.alice_auth().pad_bits_available();
   const BatchResult batch = session.run_batch();
   ASSERT_TRUE(batch.accepted);
-  // Replenished 512 minus whatever this batch's control traffic consumed.
+  ASSERT_GT(batch.distilled_bits, 0u);  // the key covered the 128 bits
+  // One tag each way, however many messages the batch exchanged, then the
+  // replenishment.
   const std::size_t after = session.alice_auth().pad_bits_available();
-  EXPECT_GT(after + 64 * 8 /*max plausible tags*/, before);
+  EXPECT_EQ(after, before - 2 * config.auth.tag_bits + 128);
+  EXPECT_EQ(session.bob_auth().pad_bits_available(), after);
 }
 
 TEST(QkdLinkSession, RejectsBadSampleFraction) {

@@ -166,54 +166,166 @@ PeerSeries run_peer_series(const QkdLinkConfig& config, std::uint64_t seed,
 }
 
 TEST(Peers, ZeroRunwayAbortsBothSidesAtOnce) {
-  // With no pad beyond the structural minimum, Alice cannot protect her
-  // sample reveal. She announces it; Bob must learn the same reason from
-  // her notice, not from his receive timeout.
+  // With no pad beyond the structural minimum (one tag per direction) and
+  // no replenishment, the first batch spends the only tags; Alice refuses
+  // the second in place of its Qframe feed, and Bob must learn the same
+  // reason from her notice, not from his receive timeout.
   QkdLinkConfig config;
-  config.frame_slots = 1 << 16;
   config.preposition_extra_bits = 0;
+  config.auth_replenish_bits = 0;
   constexpr int kTimeoutMs = 10000;
-  const PeerSeries series = run_peer_series(config, kSeed, 1, kTimeoutMs);
-  ASSERT_EQ(series.alice.size(), 1u);
-  ASSERT_EQ(series.bob.size(), 1u);
-  EXPECT_EQ(series.alice[0].reason, AbortReason::kAuthExhausted);
-  EXPECT_EQ(series.bob[0].reason, AbortReason::kAuthExhausted);
+  const PeerSeries series = run_peer_series(config, kSeed, 2, kTimeoutMs);
+  ASSERT_EQ(series.alice.size(), 2u);
+  ASSERT_EQ(series.bob.size(), 2u);
+  EXPECT_TRUE(series.alice[0].accepted);
+  EXPECT_TRUE(series.bob[0].accepted);
+  EXPECT_EQ(series.alice[1].reason, AbortReason::kAuthExhausted);
+  EXPECT_EQ(series.bob[1].reason, AbortReason::kAuthExhausted);
+  EXPECT_EQ(series.alice[1].control_messages, 1u);  // the notice
+  EXPECT_EQ(series.bob[1].control_messages, 0u);
   EXPECT_LT(series.alice_s, 0.5 * kTimeoutMs / 1000.0);
   EXPECT_LT(series.bob_s, 0.5 * kTimeoutMs / 1000.0);
 
   QkdLinkSession session(config, kSeed);
+  EXPECT_TRUE(session.run_batch().accepted);
   EXPECT_EQ(session.run_batch().reason, AbortReason::kAuthExhausted);
 }
 
 TEST(Peers, MatchTheSessionBatchByBatchThroughPadExhaustion) {
-  // A short pad runway runs out within the first few Qframes, mid-batch
-  // as well as at its start. Each side spends pad on exactly the messages
-  // it sends in-process, so batch by batch the peers and the session must
-  // reach the same verdict, and the same key whenever they accept.
+  // A short pad runway without replenishment: three tags per direction,
+  // so three batches are accepted and every later one is refused at its
+  // start. Batch by batch the peers and the session must reach the same
+  // verdict, and the same key whenever they accept.
   QkdLinkConfig config;
-  config.preposition_extra_bits = 256;
-  constexpr std::size_t kBatches = 8;
+  config.preposition_extra_bits = 2 * 2 * 32;
+  config.auth_replenish_bits = 0;
+  constexpr std::size_t kBatches = 5;
   const PeerSeries series = run_peer_series(config, kSeed, kBatches, 10000);
   ASSERT_EQ(series.alice.size(), kBatches);
   ASSERT_EQ(series.bob.size(), kBatches);
 
   QkdLinkSession session(config, kSeed);
-  std::size_t accepted = 0;
   for (std::size_t i = 0; i < kBatches; ++i) {
     SCOPED_TRACE(i);
     const BatchResult batch = session.run_batch();
+    EXPECT_EQ(batch.accepted, i < 3);
     EXPECT_EQ(series.alice[i].reason, batch.reason);
     EXPECT_EQ(series.bob[i].reason, batch.reason);
     if (!batch.accepted) continue;
-    ++accepted;
     EXPECT_TRUE(series.alice[i].accepted);
     EXPECT_TRUE(series.bob[i].accepted);
     EXPECT_EQ(series.alice[i].key, batch.key);
     EXPECT_EQ(series.bob[i].key, batch.key);
   }
-  // The runway covers the first batches and is gone by the last.
-  EXPECT_GT(accepted, 0u);
-  EXPECT_GT(session.totals().aborted(AbortReason::kAuthExhausted), 0u);
+  EXPECT_EQ(session.totals().aborted(AbortReason::kAuthExhausted), 2u);
+}
+
+/// Passes frames through, except that it flips the low bit of the last
+/// payload byte of the first frame of type `target` it sends (a change
+/// every dialogue packet still decodes): Eve altering one frame in
+/// flight.
+class TamperOnce final : public wire::Transport {
+ public:
+  TamperOnce(wire::Transport& inner, wire::PacketType target)
+      : inner_(inner), target_(target) {}
+
+  bool send_frame(const Bytes& frame) override {
+    const auto decoded = wire::decode_frame(frame);
+    if (!done_ && decoded.ok() && decoded.value.type == target_) {
+      done_ = true;
+      Bytes payload = decoded.value.payload;
+      payload.back() ^= 0x01;
+      return inner_.send_frame(wire::encode_frame(target_, payload));
+    }
+    return inner_.send_frame(frame);
+  }
+  std::optional<Bytes> recv_frame() override { return inner_.recv_frame(); }
+  bool tampered() const { return done_; }
+
+ private:
+  wire::Transport& inner_;
+  wire::PacketType target_;
+  bool done_ = false;
+};
+
+/// Two batches over TCP with the first `target` frame the chosen side
+/// sends in batch 0 altered in flight.
+PeerSeries run_tampered_series(wire::PacketType target, bool alice_sends) {
+  const QkdLinkConfig config = small_config();
+  wire::TcpListener listener(0);
+  PeerSeries series;
+  bool tampered = false;
+  std::thread bob_thread([&, port = listener.port()] {
+    BobPeer bob(config, kSeed);
+    auto io = wire::tcp_connect(port);
+    ASSERT_NE(io, nullptr);
+    io->set_recv_timeout_ms(10000);
+    TamperOnce eve(*io, target);
+    wire::Transport& wire = alice_sends ? *io : static_cast<wire::Transport&>(eve);
+    for (int i = 0; i < 2; ++i) series.bob.push_back(bob.run_batch(wire));
+    if (!alice_sends) tampered = eve.tampered();
+  });
+  AlicePeer alice(config, kSeed);
+  auto io = listener.accept_transport();
+  if (io != nullptr) {
+    io->set_recv_timeout_ms(10000);
+    TamperOnce eve(*io, target);
+    wire::Transport& wire = alice_sends ? static_cast<wire::Transport&>(eve) : *io;
+    for (int i = 0; i < 2; ++i) series.alice.push_back(alice.run_batch(wire));
+    if (alice_sends) tampered = eve.tampered();
+  }
+  bob_thread.join();
+  EXPECT_TRUE(tampered);
+  return series;
+}
+
+TEST(Peers, OneTamperedFrameAbortsBothSidesAndReleasesNoKey) {
+  // A sift frame, a parity frame and a PA frame, altered in flight: both
+  // sides abort the batch and release no key, and the link carries on
+  // with the next batch. The in-process session fails the same batch.
+  const std::pair<wire::PacketType, bool> cases[] = {
+      {wire::PacketType::kSiftAnnounce, false},
+      {wire::PacketType::kSiftDecision, true},
+      {wire::PacketType::kParityResponse, true},
+      {wire::PacketType::kParityRequest, false},
+      {wire::PacketType::kPaParams, true},
+  };
+  for (const auto& [target, alice_sends] : cases) {
+    SCOPED_TRACE(wire::packet_type_name(target));
+    const PeerSeries series = run_tampered_series(target, alice_sends);
+    ASSERT_EQ(series.alice.size(), 2u);
+    ASSERT_EQ(series.bob.size(), 2u);
+    EXPECT_FALSE(series.alice[0].accepted);
+    EXPECT_FALSE(series.bob[0].accepted);
+    EXPECT_NE(series.alice[0].reason, AbortReason::kNone);
+    EXPECT_NE(series.bob[0].reason, AbortReason::kNone);
+    EXPECT_TRUE(series.alice[0].key.empty());
+    EXPECT_TRUE(series.bob[0].key.empty());
+    EXPECT_TRUE(series.alice[1].accepted);
+    EXPECT_TRUE(series.bob[1].accepted);
+    EXPECT_EQ(series.alice[1].key, series.bob[1].key);
+
+    // In one process, the same alteration on the session's channel.
+    QkdLinkSession session(small_config(), kSeed);
+    bool tampered = false;
+    session.channel().set_impairment(
+        [&, target = target, to_bob = alice_sends](
+            const Bytes& message, bool to_b) -> std::optional<Bytes> {
+          const auto frame = wire::decode_frame(message);
+          if (tampered || to_b != to_bob || !frame.ok() ||
+              frame.value.type != target)
+            return message;
+          tampered = true;
+          Bytes payload = frame.value.payload;
+          payload.back() ^= 0x01;
+          return wire::encode_frame(target, payload);
+        });
+    const BatchResult batch = session.run_batch();
+    EXPECT_TRUE(tampered);
+    EXPECT_FALSE(batch.accepted);
+    EXPECT_TRUE(batch.key.empty());
+    EXPECT_TRUE(session.run_batch().accepted);
+  }
 }
 
 TEST(Peers, DeadWireSurfacesAsChannelLostNotHang) {

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/obs/metrics.hpp"
@@ -170,6 +173,106 @@ TEST(Pipeline, QframeIsATimedTracedChildOfTheBatch) {
   EXPECT_EQ(qframe_us,
             static_cast<double>(
                 static_cast<std::uint64_t>(batch.qframe_wall_s * 1e6)));
+}
+
+TEST(Pipeline, FramesReplayedFromThePreviousQframeAreRejected) {
+  // Eve records batch 0's frames and plays them back in batch 1 in place
+  // of the live ones, once each: Bob's sift announcement, Alice's first
+  // sample reveal and her transcript tag. Each replay names batch 0, so
+  // the receiver refuses it and the retransmitted live frame goes through.
+  QkdLinkSession session(fast_config(), 5);
+  const wire::PacketType replayed[] = {wire::PacketType::kSiftAnnounce,
+                                       wire::PacketType::kSampleReveal,
+                                       wire::PacketType::kTranscriptTag};
+  std::map<wire::PacketType, Bytes> recorded;
+  std::size_t batch_index = 0;
+  std::size_t replays = 0;
+  session.channel().set_impairment(
+      [&](const Bytes& message, bool) -> std::optional<Bytes> {
+        const auto frame = wire::decode_frame(message);
+        if (!frame.ok()) return message;
+        for (const wire::PacketType type : replayed) {
+          if (frame.value.type != type) continue;
+          if (batch_index == 0) {
+            recorded.emplace(type, message);
+          } else if (const auto it = recorded.find(type);
+                     it != recorded.end()) {
+            const Bytes old = it->second;
+            recorded.erase(it);
+            ++replays;
+            return old;
+          }
+        }
+        return message;
+      });
+  const BatchResult first = session.run_batch();
+  ASSERT_TRUE(first.accepted);
+  batch_index = 1;
+  const BatchResult second = session.run_batch();
+  EXPECT_EQ(replays, 3u);
+  ASSERT_TRUE(second.accepted) << abort_reason_name(second.reason);
+  EXPECT_FALSE(second.key == first.key);
+  // Each refused replay cost one retransmission.
+  QkdLinkSession clean(fast_config(), 5);
+  clean.run_batch();
+  EXPECT_EQ(second.control_messages, clean.run_batch().control_messages + 3);
+}
+
+TEST(Pipeline, AReplayedMessageWithoutAFrameIdFailsTheTags) {
+  // A message that names no batch (here: batch 0's error-correction
+  // summary, replayed in batch 1) is accepted, but it is not what Bob
+  // said, so the two transcripts differ and no key is released.
+  QkdLinkSession session(fast_config(), 6);
+  std::optional<Bytes> recorded;
+  bool replayed = false;
+  std::size_t batch_index = 0;
+  session.channel().set_impairment(
+      [&](const Bytes& message, bool) -> std::optional<Bytes> {
+        const auto frame = wire::decode_frame(message);
+        if (!frame.ok() || frame.value.type != wire::PacketType::kEcSummary)
+          return message;
+        if (batch_index == 0) recorded = message;
+        if (batch_index == 1 && !replayed) {
+          replayed = true;
+          return *recorded;
+        }
+        return message;
+      });
+  ASSERT_TRUE(session.run_batch().accepted);
+  batch_index = 1;
+  const BatchResult batch = session.run_batch();
+  ASSERT_TRUE(replayed);
+  ASSERT_NE(wire::decode_frame(*recorded).value.payload,
+            wire::EcSummary{}.encode());
+  EXPECT_FALSE(batch.accepted);
+  EXPECT_TRUE(batch.key.empty());
+}
+
+TEST(Pipeline, EveryAbortReasonAndThePadsAreExported) {
+  QkdLinkConfig config = fast_config();
+  config.preposition_extra_bits = 0;
+  config.auth_replenish_bits = 0;
+  QkdLinkSession session(config, 7);
+  obs::MetricsRegistry registry;
+  session.bind_metrics(registry, "link");
+  session.run_batch();  // spends the only tags
+  session.run_batch();  // refused: auth-exhausted
+  std::map<std::string, double> values;
+  for (const obs::MetricSample& sample : registry.snapshot())
+    values[sample.name] = sample.value;
+  for (std::size_t r = 1; r < kAbortReasonCount; ++r) {
+    const auto reason = static_cast<AbortReason>(r);
+    const std::string name =
+        std::string("link_aborted{reason=\"") + abort_reason_name(reason) + "\"}";
+    ASSERT_EQ(values.count(name), 1u) << name;
+    EXPECT_EQ(values[name], static_cast<double>(session.totals().aborted(reason)))
+        << name;
+  }
+  EXPECT_EQ(values["link_aborted{reason=\"auth-exhausted\"}"], 1.0);
+  EXPECT_EQ(values["link_auth_pad_bits"],
+            static_cast<double>(session.auth_pad_bits()));
+  // The one accepted batch spent a tag each way and replenished nothing.
+  EXPECT_EQ(values["link_auth_pad_net_bits_per_accepted"], -64.0);
 }
 
 }  // namespace

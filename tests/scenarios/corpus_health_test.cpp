@@ -3,14 +3,21 @@
 // up as a deterministic pending -> firing -> resolved arc through
 // AlertExpect, the drought rule must track the purged pool, and a clean
 // day must stay silent: an alert that fires without an incident is as
-// much a bug as one that misses it.
+// much a bug as one that misses it. The same holds for one link's
+// authentication pads: a tampered classical channel that burns a tag per
+// Qframe must page before the pads run out, and a healthy link never.
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <regex>
 
 #include "src/kms/client_fleet.hpp"
 #include "src/kms/kms.hpp"
 #include "src/obs/health/expect.hpp"
+#include "src/obs/health/report.hpp"
 #include "src/obs/health/rules.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/qkd/engine.hpp"
 #include "src/sim/expect.hpp"
 #include "src/sim/scenario.hpp"
 
@@ -153,6 +160,96 @@ TEST(ScenarioHealth, CleanDayRaisesNoAlarms) {
   // Determinism: the engine ticked once per second plus the horizon tick.
   EXPECT_EQ(h.alerts.stats().evaluations, 30u);
   EXPECT_EQ(h.alerts.last_evaluated(), 30 * kSecond);
+}
+
+/// One default QKD link with its metrics, the pad-drought rule, and a
+/// second rule that fires on the first auth-exhausted abort, evaluated
+/// after every Qframe at the link's own clock.
+struct PadWatch {
+  qkd::proto::QkdLinkSession session;
+  qkd::obs::MetricsRegistry registry;
+  health::AlertEngine alerts;
+  SimTime now = 0;
+
+  explicit PadWatch(std::uint64_t seed)
+      : session(qkd::proto::QkdLinkConfig{}, seed), alerts(registry) {
+    session.bind_metrics(registry, "link0");
+    alerts.add_rule(health::rules::auth_pad_drought("link0_auth_pad_bits", "0"));
+    health::AlertRule exhausted;
+    exhausted.name = "auth_exhausted:0";
+    exhausted.summary = "batches aborted for lack of pad on link 0";
+    exhausted.condition =
+        health::Threshold{"link0_aborted{reason=\"auth-exhausted\"}",
+                          health::Comparison::kGreater, 0.0};
+    alerts.add_rule(exhausted);
+  }
+
+  qkd::proto::BatchResult qframe() {
+    qkd::proto::BatchResult batch = session.run_batch();
+    now += seconds_to_sim(batch.duration_s);
+    alerts.evaluate(now);
+    return batch;
+  }
+};
+
+/// firing_s of `rule`'s first incident in an incident report; -1 if none.
+double first_firing_s(const std::string& report, const std::string& rule) {
+  const std::regex pattern("\\{\"rule\":\"" + rule +
+                           "\"[^}]*\\},\"pending_s\":[^,]*,\"firing_s\":([0-9.e+-]+)");
+  std::smatch match;
+  return std::regex_search(report, match, pattern) ? std::stod(match[1]) : -1.0;
+}
+
+TEST(ScenarioHealth, AuthPadDroughtFiresBeforeThePadsRunOut) {
+  // Eve flips one bit of Alice's transcript tag in every Qframe: Bob
+  // refuses it, so each batch fails at its last step after Alice spent
+  // her tag's pad. The incident report alone must show the drought page
+  // before the first batch the pads could not cover.
+  PadWatch watch(3);
+  watch.session.channel().set_impairment(
+      [](const Bytes& message, bool to_b) -> std::optional<Bytes> {
+        const auto frame = wire::decode_frame(message);
+        if (!to_b || !frame.ok() ||
+            frame.value.type != wire::PacketType::kTranscriptTag)
+          return message;
+        Bytes payload = frame.value.payload;
+        payload.back() ^= 0x01;
+        return wire::encode_frame(frame.value.type, payload);
+      });
+  int qframes = 0;
+  while (watch.qframe().reason != qkd::proto::AbortReason::kAuthExhausted) {
+    ASSERT_LT(++qframes, 200) << "the pads never ran out";
+  }
+  EXPECT_EQ(watch.session.totals().accepted_batches, 0u);
+
+  const std::string report = health::incident_report_json(watch.alerts);
+  const double drought = first_firing_s(report, "auth_pad_drought:0");
+  const double exhausted = first_firing_s(report, "auth_exhausted:0");
+  ASSERT_GT(drought, 0.0) << report;
+  ASSERT_GT(exhausted, 0.0) << report;
+  EXPECT_LT(drought, exhausted);
+}
+
+TEST(ScenarioHealth, AuthPadDroughtStaysSilentOnAHealthyLink) {
+  // Past Qframe 125 (where a tag per message would have spent the 8192-bit
+  // runway): no batch runs out of pad, the level holds (it dips only when
+  // an accepted batch distilled less than its two tags cost), and the
+  // rule never fires. QKD_PAD_QFRAMES=2000 runs the long form.
+  const char* env = std::getenv("QKD_PAD_QFRAMES");
+  const int qframes = env != nullptr ? std::atoi(env) : 130;
+  PadWatch watch(16);
+  const std::size_t start = watch.session.auth_pad_bits();
+  std::size_t short_batches = 0;
+  for (int i = 0; i < qframes; ++i) {
+    const qkd::proto::BatchResult batch = watch.qframe();
+    ASSERT_NE(batch.reason, qkd::proto::AbortReason::kAuthExhausted) << i;
+    if (batch.accepted && batch.distilled_bits == 0) ++short_batches;
+  }
+  EXPECT_GE(watch.session.auth_pad_bits() + 64 * short_batches, start);
+  EXPECT_GT(watch.session.totals().accepted_batches,
+            static_cast<std::size_t>(qframes) * 95 / 100);
+  EXPECT_TRUE(watch.alerts.incidents().empty())
+      << health::incident_report_json(watch.alerts);
 }
 
 TEST(ScenarioHealth, AttachAlertsRejectsANonPositiveInterval) {

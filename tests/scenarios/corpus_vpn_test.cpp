@@ -48,7 +48,6 @@ VpnLinkSimulation make_vpn(double lifetime_s, std::uint64_t seed) {
   vpn.install_mirrored_policy(protect_policy(lifetime_s));
   qkd::proto::QkdLinkConfig feed;
   feed.link.pulse_rate_hz = 0.25e6;
-  feed.auth_replenish_bits = 64;
   vpn.enable_engine_feed(feed, seed);
   vpn.start();
   return vpn;

@@ -29,6 +29,8 @@ MeshSimulation engine_pair(std::uint64_t seed) {
   const NodeId b = topo.add_node("b", network::NodeKind::kEndpoint);
   topo.add_link(a, b, {});
   network::LinkKeyService::Config engine;
+  // Every distilled bit to the supply; the prepositioned pads then pay
+  // one tag each way per accepted batch, a runway of 128 batches.
   engine.proto.auth_replenish_bits = 0;
   engine.threads = 1;
   return MeshSimulation(std::move(topo), seed, engine);

@@ -25,6 +25,8 @@ MeshSimulation engine_pair(std::uint64_t seed) {
   const NodeId b = topo.add_node("b", network::NodeKind::kEndpoint);
   topo.add_link(a, b, {});
   network::LinkKeyService::Config engine;
+  // Every distilled bit to the supply; the prepositioned pads then pay
+  // one tag each way per accepted batch, a runway of 128 batches.
   engine.proto.auth_replenish_bits = 0;
   engine.threads = 1;
   return MeshSimulation(std::move(topo), seed, engine);
@@ -88,6 +90,24 @@ TEST(ClassicalImpairmentScenario, LossInflatesControlTrafficButKeyStillLands) {
   EXPECT_GT(lossy_mesh.key_service()->session(0).totals().accepted_batches,
             0u);
   EXPECT_GT(lossy_mesh.link_pool_bits(0), 0.0);
+}
+
+TEST(ClassicalImpairmentScenario, TwentyPercentLossNeverSplitsTheTranscripts) {
+  // One frame in five lost, in both directions: retransmission (and the
+  // parity server's answer cache) must leave both sides with the same
+  // transcript of every batch, so loss costs traffic, never a failed tag.
+  MeshSimulation mesh = engine_pair(21);
+  Scenario script;
+  script.at(0, ClassicalImpairment{0, 0, 0.2, 0.0});
+  ScenarioRunner runner(std::move(script));
+  runner.attach_mesh(mesh);
+  runner.run(20 * kSecond);
+  const auto& session = mesh.key_service()->session(0);
+  EXPECT_GT(session.channel().stats().lost, 1000u);
+  EXPECT_GT(session.totals().batches, 15u);
+  EXPECT_EQ(session.totals().aborted(qkd::proto::AbortReason::kVerifyFailed),
+            0u);
+  EXPECT_GE(session.totals().accepted_batches + 1, session.totals().batches);
 }
 
 TEST(ClassicalImpairmentScenario, AllZeroActionRestoresACleanChannel) {

@@ -122,6 +122,8 @@ TEST(Scenario, EngineBackedLinkDistillsViaScheduledBatchCompletions) {
   const NodeId b = topo.add_node("b", network::NodeKind::kEndpoint);
   topo.add_link(a, b, {});
   network::LinkKeyService::Config engine;
+  // Every distilled bit to the supply; the prepositioned pads then pay
+  // one tag each way per accepted batch, a runway of 128 batches.
   engine.proto.auth_replenish_bits = 0;
   engine.threads = 1;
   MeshSimulation mesh(std::move(topo), 5, engine);

@@ -51,7 +51,6 @@ TEST(VpnScenario, TunnelRunsOnScheduledDeadlinesWithEngineFeed) {
   // not throughput).
   qkd::proto::QkdLinkConfig feed;
   feed.link.pulse_rate_hz = 0.25e6;
-  feed.auth_replenish_bits = 64;
   vpn.enable_engine_feed(feed, 3);
   vpn.start();
 
@@ -109,11 +108,9 @@ TEST(VpnScenario, EveOnTheFeedStarvesIkeUntilSheLeaves) {
   policy.qkd_mode = QkdMode::kOtp;
   policy.qblocks_per_rekey = 1;
   vpn.install_mirrored_policy(policy);
-  // ~300 net bits per 1.05 s batch; extra prepositioned auth pad keeps the
-  // control channel authenticated through Eve's long all-abort stretch.
+  // ~300 net bits per 1.05 s batch; Eve's all-abort stretch spends no pad
+  // (a batch aborted before its transcript tags costs none).
   qkd::proto::QkdLinkConfig feed;
-  feed.auth_replenish_bits = 64;
-  feed.preposition_extra_bits = 1 << 15;
   vpn.enable_engine_feed(feed, 9);
   vpn.start();
 

@@ -23,7 +23,7 @@ Bytes random_bytes(qkd::Rng& rng, std::size_t n) {
 
 /// One random distillation packet, already framed.
 Bytes random_distillation_frame(qkd::Rng& rng) {
-  switch (rng.next_below(10)) {
+  switch (rng.next_below(11)) {
     case 0: {
       QframeFeed p;
       p.frame_id = rng.next_u64();
@@ -36,10 +36,12 @@ Bytes random_distillation_frame(qkd::Rng& rng) {
     case 1: {
       SiftAnnounce p;
       p.frame_id = rng.next_u64();
-      // Sparse-ish mask: set ~1/64 of the slots.
+      // A sparse mask (~1/64 of the slots set) goes out in the sparse
+      // form, a dense one (~1/2) in the dense form.
+      const std::uint64_t one_in = rng.next_bool() ? 64 : 2;
       p.detected = qkd::BitVector(rng.next_below(4096) + 1);
       for (std::size_t i = 0; i < p.detected.size(); ++i)
-        if (rng.next_below(64) == 0) p.detected.set(i, true);
+        if (rng.next_below(one_in) == 0) p.detected.set(i, true);
       p.bob_bases = rng.next_bits(p.detected.popcount());
       return to_frame(p);
     }
@@ -89,6 +91,13 @@ Bytes random_distillation_frame(qkd::Rng& rng) {
                              0};
       p.multiplier = rng.next_bits(p.n);
       p.addend = rng.next_bits(p.m);
+      return to_frame(p);
+    }
+    case 9: {
+      TranscriptTag p;
+      p.frame_id = rng.next_u64();
+      p.seq = rng.next_u64();
+      p.tag = rng.next_bits(32);
       return to_frame(p);
     }
     default: {

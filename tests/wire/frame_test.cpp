@@ -173,7 +173,8 @@ TEST(Frame, EveryNamedTypeIsKnownAndNamed) {
         PacketType::kSiftDecision, PacketType::kSampleReveal,
         PacketType::kParityRequest, PacketType::kParityResponse,
         PacketType::kEcSummary, PacketType::kVerifyHash, PacketType::kPaParams,
-        PacketType::kAbort, PacketType::kKmsRegister,
+        PacketType::kAbort, PacketType::kTranscriptTag,
+        PacketType::kKmsRegister,
         PacketType::kKmsRegisterReply, PacketType::kKmsGetKey,
         PacketType::kKmsGrant, PacketType::kKmsGetKeyWithId,
         PacketType::kKmsKeyWithIdReply, PacketType::kKmsStatus,

@@ -49,6 +49,56 @@ TEST(Packets, SiftAnnounceRoundTripsSparseMask) {
   EXPECT_LT(sparse.size(), dense.size());
 }
 
+TEST(Packets, CompactBitmapSendsTheSmallerForm) {
+  // A click bitmap at the paper's ~0.3% goes sparse for one byte over the
+  // bare sparse form; at 25% and 50% it goes dense for one byte over the
+  // raw bitmap, where the sparse form would be two to four times larger.
+  QKD_SEEDED_RNG(rng, 91);
+  for (const std::uint64_t one_in : {333u, 4u, 2u}) {
+    BitVector bits(1 << 16);
+    for (std::size_t i = 0; i < bits.size(); ++i)
+      if (rng.next_below(one_in) == 0) bits.set(i, true);
+    Bytes sparse, dense, compact;
+    put_bits_sparse(sparse, bits);
+    put_bits_dense(dense, bits);
+    put_bits_compact(compact, bits);
+    EXPECT_EQ(compact.size(), std::min(sparse.size(), dense.size()) + 1)
+        << "1 in " << one_in;
+    EXPECT_EQ(compact[0], one_in == 333 ? 0 : 1);
+    ByteReader reader(compact);
+    EXPECT_EQ(get_bits_compact(reader), bits);
+    EXPECT_TRUE(reader.done());
+  }
+}
+
+TEST(Packets, CompactBitmapInTheLargerFormIsMalformed) {
+  // The form tag is canonical: a dense bitmap announced in the sparse form
+  // (or the reverse) does not decode.
+  BitVector dense_bits(64);
+  for (std::size_t i = 0; i < 64; i += 2) dense_bits.set(i, true);
+  Bytes wrong;
+  put_u8(wrong, 0);
+  put_bits_sparse(wrong, dense_bits);
+  ByteReader reader(wrong);
+  EXPECT_ANY_THROW(get_bits_compact(reader));
+
+  BitVector sparse_bits(4096);
+  sparse_bits.set(7, true);
+  Bytes wrong_dense;
+  put_u8(wrong_dense, 1);
+  put_bits_dense(wrong_dense, sparse_bits);
+  ByteReader dense_reader(wrong_dense);
+  EXPECT_ANY_THROW(get_bits_compact(dense_reader));
+}
+
+TEST(Packets, TranscriptTagRoundTrips) {
+  TranscriptTag packet;
+  packet.frame_id = 125;
+  packet.seq = 124;
+  packet.tag = BitVector::from_uint64(0xDEADBEEF, 32);
+  EXPECT_EQ(round_trip(packet), packet);
+}
+
 TEST(Packets, SiftDecisionRoundTrips) {
   SiftDecision packet;
   packet.frame_id = 3;
